@@ -90,13 +90,6 @@ def test_e12_indexed_join_core_vs_seed(benchmark, quick, joincore_log):
     edges = workloads.line_edges(n)
     db = core.Database(pops=semirings.TROP, relations={"E": dict(edges)})
 
-    # Warm the codegen backend's process-wide source → code cache so
-    # the recorded walls measure the steady state, not first-call
-    # compile() (see bench_e22's engine-pipeline ablation).  Closure
-    # kernels cache per evaluator only — nothing to warm there.
-    for method in ("naive", "seminaive"):
-        core.solve(programs.sssp(0), db, method=method, engine="codegen")
-
     def run_all():
         rows = []
         for method in ("naive", "seminaive"):
@@ -107,19 +100,8 @@ def test_e12_indexed_join_core_vs_seed(benchmark, quick, joincore_log):
                 ),
                 rounds=5,
             )
-            # The generated-source pipeline, recorded side by side so
-            # the trajectory carries the per-engine wall series (the
-            # default `indexed` record runs the closure kernels).
-            codegen = joincore_log.timed(
-                f"e12/sssp-line({n})-{method}/codegen",
-                lambda m=method: core.solve(
-                    programs.sssp(0), db, method=m, engine="codegen"
-                ),
-                rounds=5,
-            )
             seed = core.solve(programs.sssp(0), db, method=method, plan="naive")
             assert indexed.instance.equals(seed.instance)
-            assert codegen.instance.equals(seed.instance)
             s_ops = seed.stats["keys_examined"]
             i_ops = indexed.stats["keys_examined"]
             rows.append((method, s_ops, i_ops, round(s_ops / i_ops, 1)))

@@ -10,11 +10,12 @@ DESIGN.md calls out two engine decisions worth ablating:
    sparse engine against the definitional grounded-system iteration
    (which materializes all provenance polynomials up front).
 
-3. **The execution-pipeline tiers** — the interpreted (re-planned
-   generator) pipeline vs the closure kernels vs the generated-source
-   kernels (``engine="codegen"``), same fixpoints by construction; the
-   per-engine wall times are recorded side by side into the joincore
-   trajectory so the codegen speedup is gated longitudinally.
+3. **The execution pipelines** — the interpreted (re-planned
+   generator) pipeline, kept as the differential oracle, vs the
+   batched columnar executor (``engine="batched"``, the default), same
+   fixpoints by construction; the per-engine wall times are recorded
+   side by side into the joincore trajectory so the batched speedup is
+   gated longitudinally.
 
 All halves assert result equality, so this doubles as a semantics
 check of the optimizations.
@@ -97,37 +98,27 @@ def test_e22_sparse_vs_grounded_pipeline(benchmark):
     assert monomials > 0
 
 
-_ENGINES = ("interpreted", "compiled", "codegen", "batched")
+_ENGINES = ("interpreted", "batched")
 
 
 def test_e22_engine_pipeline_ablation(benchmark, quick, joincore_log):
-    """Interpreted vs closure vs generated-source vs batched kernels.
+    """Interpreted oracle vs batched columnar kernels.
 
-    One APSP workload, four execution pipelines, identical fixpoints.
+    One APSP workload, two execution pipelines, identical fixpoints.
     Each (method, engine) wall time is recorded under
     ``e22/apsp(n)-{method}/{engine}`` so the trajectory plots render the
     per-engine series side by side and the regression gate watches the
-    codegen records' ``codegen_kernels`` floor and the batched records'
-    ``batch_joins`` floor.  At full size the generated-source kernels
-    must beat the closure kernels' wall time and the batched columnar
-    kernels must beat the generated-source kernels on the semi-naive
-    engine (the acceptance gates); at smoke sizes the ratios are noise
-    (per-solve setup amortizes over real work), so only result equality
-    is asserted.
+    batched records' ``batch_joins`` floor.  At full size the batched
+    kernels must beat the interpreted pipeline's wall time on both
+    fixpoint engines (the acceptance gate); at smoke sizes the ratios
+    are noise (per-solve setup amortizes over real work), so only
+    result equality is asserted.
     """
     n = sized(quick, 20, 10)
     p = sized(quick, 0.22, 0.3)
     edges = workloads.random_weighted_digraph(n, p, seed=3)
     db = core.Database(pops=TROP, relations={"E": dict(edges)})
     prog = programs.apsp()
-
-    # Warm-up: the codegen backend keeps a process-wide source → code
-    # cache, so the steady state (what a long-running service sees) has
-    # no compile() in the loop; one throwaway solve per (method,
-    # engine) takes the measurement there.
-    for method in ("naive", "seminaive"):
-        for engine in _ENGINES:
-            core.solve(prog, db, method=method, engine=engine)
 
     def run_all():
         rows = []
@@ -150,28 +141,17 @@ def test_e22_engine_pipeline_ablation(benchmark, quick, joincore_log):
                     walls[engine],
                     result.stats,
                 )
-            assert results["codegen"].instance.equals(
-                results["interpreted"].instance
-            )
-            assert results["compiled"].instance.equals(
-                results["interpreted"].instance
-            )
             assert results["batched"].instance.equals(
                 results["interpreted"].instance
             )
-            assert results["codegen"].stats["codegen_kernels"] > 0
-            assert results["compiled"].stats["codegen_kernels"] == 0
             assert results["batched"].stats["batch_joins"] > 0
             assert results["batched"].stats["batch_rows"] > 0
             rows.append(
                 (
                     method,
                     f"{walls['interpreted'] * 1000:.2f}",
-                    f"{walls['compiled'] * 1000:.2f}",
-                    f"{walls['codegen'] * 1000:.2f}",
                     f"{walls['batched'] * 1000:.2f}",
-                    round(walls["compiled"] / walls["codegen"], 2),
-                    round(walls["codegen"] / walls["batched"], 2),
+                    round(walls["interpreted"] / walls["batched"], 2),
                 )
             )
         return rows
@@ -179,23 +159,11 @@ def test_e22_engine_pipeline_ablation(benchmark, quick, joincore_log):
     rows = benchmark.pedantic(run_all, rounds=3, iterations=1)
     emit_table(
         f"E22c: engine pipelines (APSP, {n} nodes, Trop+) — wall ms",
-        (
-            "method", "interpreted", "closures", "codegen", "batched",
-            "codegen speedup", "batched speedup",
-        ),
+        ("method", "interpreted", "batched", "batched speedup"),
         rows,
     )
     if not quick:
-        # The codegen acceptance gate: generated-source kernels beat
-        # the closure kernels on both fixpoint engines (measured
-        # 1.5×/1.3× locally; asserted with CI-noise headroom).
-        naive_ratio = rows[0][5]
-        semi_ratio = rows[1][5]
-        assert naive_ratio >= 1.2, rows
-        assert semi_ratio >= 1.0, rows
-        # The batched acceptance gate: the columnar whole-batch kernels
-        # beat the generated-source kernels on the semi-naive engine
-        # (measured 1.08×/1.2× locally for seminaive/naive; the fused
-        # last-step join+reduce carries it).
-        batched_semi_ratio = rows[1][6]
-        assert batched_semi_ratio >= 1.0, rows
+        # The acceptance gate: the batched kernels beat the interpreted
+        # oracle on both fixpoint engines.
+        for row in rows:
+            assert row[3] >= 1.0, rows

@@ -36,14 +36,12 @@ baseline:
   ``rule_applications``): an increase beyond the tolerance means the
   planner started examining more candidate keys, or the scheduler
   started re-applying rules the condensation should have frozen;
-* ``rules_skipped``, ``kernel_cache_hits``, ``codegen_kernels``,
-  ``batch_joins``, ``exchange_rounds`` and ``exchange_tuples`` are
-  *higher-is-better* floors: a drop beyond the tolerance means
-  delta-driven rule activation stopped skipping, compiled kernels
-  stopped being reused across iterations, (for ``engine="codegen"``
-  benchmark records) the source-generating backend stopped being
-  engaged, or (for sharded records) the delta-shipping exchange
-  silently stopped running — silent de-optimizations wall time (noisy
+* ``rules_skipped``, ``kernel_cache_hits``, ``batch_joins``,
+  ``exchange_rounds`` and ``exchange_tuples`` are *higher-is-better*
+  floors: a drop beyond the tolerance means delta-driven rule
+  activation stopped skipping, batched kernels stopped being reused
+  across iterations or stopped being engaged, or (for sharded records)
+  the delta-shipping exchange silently stopped running — silent de-optimizations wall time (noisy
   on CI) might hide.  The robustness counters (``shard_restarts``,
   ``crc_retransmits``, ``shard_demotions``, ``shard_fallbacks``,
   ``shard_stall_fallbacks``, ``budget_trips``, ``partial_tuples``) are
@@ -94,7 +92,6 @@ _HIGHER_IS_BETTER = frozenset(
     {
         "rules_skipped",
         "kernel_cache_hits",
-        "codegen_kernels",
         "batch_joins",
         "exchange_rounds",
         "exchange_tuples",

@@ -164,12 +164,11 @@ class JoinCoreLog:
     #: ``iterations`` and ``rule_applications`` gate the fixpoint
     #: scheduler: regressions in total iteration or rule-application
     #: counts fail CI exactly like join-core regressions.
-    #: ``rules_skipped`` / ``kernel_cache_hits`` / ``codegen_kernels``
-    #: / ``batch_joins`` gate the compiled engines as *floors* (see
+    #: ``rules_skipped`` / ``kernel_cache_hits`` / ``batch_joins`` gate
+    #: the batched engine as *floors* (see
     #: ``check_joincore_regression.py``): a drop means delta-driven
-    #: activation, kernel reuse, source generation (for
-    #: ``engine="codegen"`` records), or whole-batch execution (for
-    #: ``engine="batched"`` records) silently stopped working.
+    #: activation, kernel reuse or whole-batch execution silently
+    #: stopped working.
     GATED = (
         "keys_examined",
         "fallback_candidates",
@@ -177,7 +176,6 @@ class JoinCoreLog:
         "rule_applications",
         "rules_skipped",
         "kernel_cache_hits",
-        "codegen_kernels",
         "batch_joins",
     )
 

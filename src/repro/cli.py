@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Any, Callable, Dict, Optional
 
 from . import analysis, semirings
@@ -35,6 +36,7 @@ from .core import (
     parse_program,
     solve,
 )
+from .core.kernels import canonical_engine
 from .semirings import POPS
 
 
@@ -151,6 +153,15 @@ def _report_budget_exceeded(args: argparse.Namespace, exc: BudgetExceeded) -> in
     return 3
 
 
+def _engine_arg(engine: str) -> str:
+    """Map a deprecated ``--engine`` alias to ``batched``, warning once
+    on stderr (DeprecationWarning is hidden by default outside
+    ``__main__``, and a CLI user should see it)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DeprecationWarning)
+        return canonical_engine(engine)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     pops = resolve_pops(args.pops)
     with open(args.program) as f:
@@ -167,7 +178,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             max_iterations=max_iterations,
             plan=args.plan,
             schedule=args.schedule,
-            engine=args.engine,
+            engine=_engine_arg(args.engine),
             engine_workers=args.workers,
             max_wall_s=args.budget_wall_s,
             max_tuples=args.budget_tuples,
@@ -177,7 +188,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except BudgetExceeded as exc:
         return _report_budget_exceeded(args, exc)
     except ValueError as exc:
-        # Knob conflicts (e.g. --plan naive --engine codegen) surface
+        # Knob conflicts (e.g. --plan naive --engine batched) surface
         # as engine-layer ValueErrors; report them CLI-style.
         raise SystemExit(f"error: {exc}") from exc
     if args.output == "json":
@@ -229,7 +240,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             query_wall_s=args.query_wall_s,
             pool_workers=args.threads,
             plan=args.plan,
-            engine=args.engine,
+            engine=_engine_arg(args.engine),
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
@@ -312,10 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=VALID_ENGINES,
         help=(
-            "join/evaluation pipeline: closure kernels (auto/compiled), "
-            "generated-source kernels (codegen), columnar whole-batch "
-            "kernels (batched), or the re-planned generator pipeline "
-            "(interpreted)"
+            "join/evaluation pipeline: columnar whole-batch kernels "
+            "(auto/batched) or the re-planned generator pipeline "
+            "(interpreted, the differential oracle); compiled and "
+            "codegen are deprecated aliases of batched"
         ),
     )
     run.add_argument(
@@ -450,7 +461,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="indexed",
         choices=("indexed", "indexed-greedy", "naive"),
     )
-    serve.add_argument("--engine", default="auto", choices=VALID_ENGINES)
+    serve.add_argument(
+        "--engine",
+        default="auto",
+        choices=VALID_ENGINES,
+        help="join/evaluation pipeline, as for run",
+    )
     serve.set_defaults(handler=cmd_serve)
 
     classify = sub.add_parser(

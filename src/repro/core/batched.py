@@ -1,15 +1,13 @@
-"""Batched columnar Plan-IR backend: whole-batch execution per step.
+"""Batched columnar Plan-IR executor: whole-batch execution per step.
 
-Every backend so far — the interpreted pipeline, the closure kernels
-(:mod:`repro.core.kernels`) and the generated-source kernels
-(:mod:`repro.core.codegen`) — executes a
-:class:`~repro.core.plan_ir.BodyPlanIR` one candidate tuple at a time:
-the nested join loops live in Python, so the interpreter pays its
-per-tuple overhead once per candidate per step no matter how thin
-codegen made each iteration.  This module flips the loop structure:
-``engine="batched"`` executes each plan node over the **whole batch of
-candidate rows at once**, with the hot work pushed into C-speed bulk
-primitives.
+This is the production executor (``engine="batched"``, which
+``engine="auto"`` resolves to on every indexed plan).  The interpreted
+pipeline — kept as the differential oracle — walks a join plan one
+candidate tuple at a time, so the interpreter pays its per-tuple
+overhead once per candidate per step.  This module flips the loop
+structure: it executes each :class:`~repro.core.plan_ir.BodyPlanIR`
+node over the **whole batch of candidate rows at once**, with the hot
+work pushed into C-speed bulk primitives.
 
 Data layout — one *batch* is a set of parallel columns:
 
@@ -44,23 +42,22 @@ order).  Any condition failing — numpy absent, unregistered semiring,
 rich or mixed-type values — falls back to the stdlib path for that
 leaf, so fixpoints stay byte-identical either way.
 
-What stays identical to the closure/codegen backends, by construction
-from the same IR: the plan (join order, masks, pushdown placement,
-fallback loop), index freshness (``guards[pos].index`` resolved per
-invocation), counter semantics (every probe/scan/prune/fallback counter
-fires at the same event — batched merely adds ``batch_joins`` /
-``batch_rows`` on top), and value semantics (⊗-fold from ``1`` in body
-order, carried probe values served exactly when codegen serves them,
+What the IR fixes, the executor keeps: the plan (join order, masks,
+pushdown placement, fallback loop), index freshness
+(``guards[pos].index`` resolved per invocation), per-candidate counter
+events (every probe/scan/prune/fallback counter fires once per
+candidate, as in a nested-loop walk of the plan — ``batch_joins`` /
+``batch_rows`` count the whole-batch steps on top), and value
+semantics (⊗-fold from ``1`` in body order, carried probe values,
 store routing per Eq. 64 under semi-naïve variants).  Row order equals
 the nested-loop candidate order, so even order-sensitive float
-accumulation matches bit-for-bit.
+accumulation matches the interpreted oracle bit-for-bit.
 
-Kernels are cached in the evaluators' existing
+Kernels are cached in the evaluators'
 :class:`~repro.core.kernels.KernelCache` (``kernel_cache_hits`` counts
-reuse); ``engine="batched"`` on :func:`repro.core.engine.solve` selects
-this backend everywhere the other compiled engines are wired (naïve,
-semi-naïve with all delta variants, hybrid, grounding, every schedule
-including ``parallel``).
+reuse).  Every evaluator runs this executor: naïve, semi-naïve with
+all delta variants, hybrid, grounding (emit mode), every schedule
+including ``parallel``, and the sharded workers.
 """
 
 from __future__ import annotations
@@ -204,9 +201,8 @@ class BatchedError(TypeError):
     """Raised when a plan node cannot be lowered to a batched pipeline.
 
     Unreachable for plans produced by
-    :func:`repro.core.plan_ir.build_body_plan` — mirrors
-    :class:`repro.core.codegen.CodegenError` (fail at build time, never
-    mid-fixpoint).
+    :func:`repro.core.plan_ir.build_body_plan`; raised at build time,
+    never mid-fixpoint.
     """
 
 
@@ -286,15 +282,14 @@ class BatchedKernel:
     """One body plan compiled to a columnar whole-batch pipeline.
 
     In accumulate mode (:func:`build_batched_rule_kernel`) ``run(guards,
-    state, bucket)`` mirrors the codegen rule kernel: ``state`` is the
+    state, bucket)`` joins, evaluates and accumulates: ``state`` is the
     current IDB instance (or the ``(new, delta, old)`` triple under a
     semi-naïve ``variant``), every match's ⊗-product is ⊕-accumulated
     into ``bucket`` under its head key, and the match count is returned.
     In emit mode (:func:`build_batched_join_kernel`) ``run(guards,
     emit)`` streams ``(valuation, slots)`` per match — the dict and list
-    are owned by the kernel and reused, exactly like
-    ``CompiledKernel.execute`` — which is what grounding's
-    provenance-monomial leaf consumes.
+    are owned by the kernel and reused across matches — which is what
+    grounding's provenance-monomial leaf consumes.
     """
 
     def __init__(
@@ -336,8 +331,8 @@ class BatchedKernel:
         self._idb_names = idb_names
         self._carried = carried_slots
         self._variant = variant
-        # Mirror the closure/codegen backends: any fallback equality
-        # binding needs the domain membership set.
+        # Any fallback equality binding needs the domain membership
+        # set.
         needs_set = ir.needs_domain_set or any(
             fb.binding is not None for fb in ir.fallback
         )
@@ -395,7 +390,7 @@ class BatchedKernel:
         self._fused = None if emit_mode else self._build_fused(ir, pre_bound)
 
     # ------------------------------------------------------------------
-    # Column compilers (build-time; mirror codegen's expression lowering)
+    # Column compilers (build-time expression lowering)
     # ------------------------------------------------------------------
     def _compile_term_col(
         self, term: Term, bound: Set[str], bind: Optional[str] = None
@@ -451,8 +446,8 @@ class BatchedKernel:
         self, cond: Condition, bound: Set[str]
     ) -> Optional[Callable[[Dict[str, list], int], List[bool]]]:
         """Lower ``Φ`` to a boolean-mask builder; ``None`` = trivially
-        true.  Mirrors ``codegen.cond_expr`` including the
-        trivially-true ``Or``-disjunct collapse."""
+        true, including the trivially-true ``Or``-disjunct
+        collapse."""
         if isinstance(cond, TrueCond):
             return None
         if isinstance(cond, Compare):
@@ -743,8 +738,7 @@ class BatchedKernel:
     ) -> Tuple[Callable, int]:
         """Lower one factor to ``(fn(cols, n, state) -> list, lookups)``.
 
-        Store routing mirrors ``codegen.factor_expr``: under a
-        semi-naïve variant, occurrence factors read the store Eq. 64
+        Store routing: under a semi-naïve variant, occurrence factors read the store Eq. 64
         assigns their rank (``state[0]/[1]/[2]`` = new/delta/old);
         every other factor gets EDB semantics.
         """
@@ -956,9 +950,9 @@ class BatchedKernel:
         head key is computable from the columns bound before it — then
         the final join expansion never materializes: the runner walks
         each input row's probe bucket and ⊕-accumulates per entry,
-        which is exactly codegen's innermost loop, with the partial
-        ⊗-product of the earlier factors hoisted per input row (the
-        fold order per match is unchanged, so results stay
+        which is exactly a nested-loop plan's innermost loop, with the
+        partial ⊗-product of the earlier factors hoisted per input row
+        (the fold order per match is unchanged, so results stay
         byte-identical).
         """
         if not ir.steps or ir.fallback or ir.residual or self._body is None:
@@ -1246,7 +1240,7 @@ class BatchedKernel:
             mul = pops.mul
             add = pops.add
         # ⊗-fold as a lazy C-level map chain: per row the op sequence
-        # is exactly codegen's (fold left from 1 in body order), with
+        # is the interpreted one (fold left from 1 in body order), with
         # no intermediate product lists — the accumulate loop consumes
         # the chain directly, seeding or ⊕-merging into the head
         # bucket in row order.  For idempotent min/max ⊕ the
@@ -1349,8 +1343,7 @@ class BatchedKernel:
     def execute(self, guards: Sequence, emit: Callable) -> int:
         """Emit mode: stream ``(valuation, slots)`` per row, in row
         order.  The dict and list are reused across rows — consumers
-        copy what they retain (the ``CompiledKernel.execute``
-        contract)."""
+        copy what they retain."""
         ctr = [0] * _N_COUNTERS
         try:
             cols, slots, n = self._pipeline(guards, ctr)
@@ -1403,8 +1396,8 @@ def build_batched_rule_kernel(
 ) -> BatchedKernel:
     """Build the accumulate-mode batched kernel of one rule body.
 
-    Same contract as :func:`repro.core.codegen.generate_rule_kernel`:
-    ``run(guards, state, bucket)`` returns the match count, with
+    ``run(guards, state, bucket)`` ⊕-accumulates every match into
+    ``bucket`` under its head key and returns the match count, with
     ``state`` the current IDB instance or — under a semi-naïve
     ``variant`` — the ``(new, delta, old)`` store triple.
     """
@@ -1436,8 +1429,7 @@ def build_batched_join_kernel(
     """Build an emit-mode batched kernel (grounding's consumer).
 
     ``execute(guards, emit)`` streams every satisfying valuation into
-    ``emit(valuation, slots)`` in candidate order, like
-    :meth:`repro.core.kernels.CompiledKernel.execute`.
+    ``emit(valuation, slots)`` in candidate order.
     """
     return BatchedKernel(
         ir, fallback_domain, bool_lookup, stats, emit_mode=True, label=label

@@ -10,8 +10,8 @@ affinity, so semi-naïve evaluation rejects it.
 
 This module rebuilds the rewrite as a *planner stage* whose output is
 an ordinary datalog° program running unchanged — and at full speed —
-through every modern layer (SCC scheduling, Plan IR, closure kernels,
-codegen, batched columns, sharding).  The trick is an invariant instead
+through every modern layer (SCC scheduling, Plan IR, the batched
+executor, sharding).  The trick is an invariant instead
 of a function call:
 
 **every magic predicate's value is exactly ``1``** (the POPS one).
@@ -52,8 +52,8 @@ conditions above make value-aware).  Dropping a restriction is always
 sound here — it only *over*-demands, and over-demanded atoms still
 converge to their full-fixpoint values — so the rewrite drops any
 condition conjunct it cannot bind rather than rejecting the program.
-The differential tests assert byte-parity across four semirings × four
-engines × every schedule.
+The differential tests assert byte-parity across four semirings × both
+engines (plus the deprecated engine aliases) × every schedule.
 """
 
 from __future__ import annotations

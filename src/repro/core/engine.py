@@ -32,7 +32,7 @@ from .grounding import assignment_to_instance, ground_program
 from .guardrails import Budget, preflight as run_preflight
 from .indexes import JoinStats
 from .instance import Database
-from .kernels import VALID_ENGINES
+from .kernels import canonical_engine
 from .linear import linear_lfp
 from .naive import EvaluationResult, naive_fixpoint
 from .rules import Program
@@ -96,26 +96,23 @@ def solve(
             schedules compute the same fixpoint; scheduled runs report
             ``steps`` as the deepest stratum's step count and carry
             per-stratum reports on ``result.strata``.
-        engine: Evaluation pipeline for the join core — ``"auto"``
-            (the default) lowers each (rule, body) plan into a
-            compiled closure kernel (:mod:`repro.core.kernels`), built
-            once per stratum and cached across fixpoint iterations,
-            and enables delta-driven rule activation
-            (``stats["rules_skipped"]``), whenever the plan is
-            indexed; ``"codegen"`` lowers each plan to generated
-            Python source instead (:mod:`repro.core.codegen` — one
-            flat ``compile()``-d function per body, cached the same
-            way, with the source retained on the kernel for
-            debugging); ``"batched"`` executes each plan over whole
+        engine: Evaluation pipeline for the join core.
+            ``"batched"`` executes each (rule, body) plan over whole
             delta batches at once as columnar hash-joins with
             vectorized filter masks and a grouped ⊕-reduction
             (:mod:`repro.core.batched` — stdlib columns with an
-            automatic numpy fast path for numeric semirings);
+            automatic numpy fast path for numeric semirings); each
+            kernel is built once per stratum, cached across fixpoint
+            iterations, and enables delta-driven rule activation
+            (``stats["rules_skipped"]``).  It rejects ``plan="naive"``.
             ``"interpreted"`` keeps the per-application re-planned
             generator pipeline as the byte-for-byte differential
-            baseline; ``"compiled"`` forces closure kernels (and, like
-            ``"codegen"``/``"batched"``, rejects ``plan="naive"``).
-            All engines compute the same fixpoint.
+            oracle.  ``"auto"`` (the default) picks ``"batched"`` on
+            indexed plans and ``"interpreted"`` on ``plan="naive"``.
+            The retired names ``"compiled"`` and ``"codegen"`` are
+            deprecated aliases of ``"batched"``: they still run, with
+            one :class:`DeprecationWarning` per call.  Both engines
+            compute the same fixpoint.
         engine_workers: Shard count for semi-naïve evaluation.  ``> 1``
             hash-partitions every recursive delta across that many
             persistent worker processes (threads on free-threaded
@@ -169,6 +166,7 @@ def solve(
     Returns:
         The least-fixpoint instance plus step counts and statistics.
     """
+    engine = canonical_engine(engine)
     if query is not None:
         from .demand import demand_solve
 
@@ -188,11 +186,6 @@ def solve(
             max_wall_s=max_wall_s,
             max_tuples=max_tuples,
             preflight=preflight,
-        )
-    if engine not in VALID_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; valid choices: "
-            + ", ".join(VALID_ENGINES)
         )
     if schedule not in VALID_SCHEDULES:
         raise ValueError(

@@ -24,15 +24,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..fixpoint.iteration import DivergenceError
 from ..semirings.base import FunctionRegistry, Value
 from .ast import Term, eval_term
+from .batched import build_batched_rule_kernel
 from .instance import Database, Instance, Key
-from .kernels import (
-    BodyValue,
-    KernelCache,
-    compile_kernel,
-    compile_key,
-    resolve_engine_mode,
-)
+from .kernels import KernelCache
 from .naive import EvaluationResult, NaiveEvaluator
+from .plan_ir import build_body_plan
 from .rules import Program, SumProduct
 from .valuations import (
     body_guards,
@@ -78,9 +74,6 @@ class HybridEvaluator:
         self.pops = database.pops
         self.max_iterations = max_iterations
         self.plan = plan
-        self.engine = engine
-        self.mode = resolve_engine_mode(engine, plan)
-        self.compiled = self.mode != "interpreted"
         self.bool_idb_names = {r.head_relation for r in self.threshold_rules}
         # Boolean IDB facts are injected into the database's Boolean
         # store so that conditions and indicators see them transparently.
@@ -96,7 +89,8 @@ class HybridEvaluator:
             plan=plan,
             engine=engine,
         )
-        # Compiled-engine state: cached per-threshold-rule guards and
+        self.batched = self._base.batched
+        # Batched-engine state: cached per-threshold-rule guards and
         # kernels (guards are late-bound through the base evaluator's
         # current instance, so caching them is sound; their indexes are
         # refreshed per iteration against the base's change counters
@@ -110,11 +104,11 @@ class HybridEvaluator:
 
         Guards read the base evaluator's *current* instance through the
         late-bound supplier, so the list itself is iteration-invariant;
-        the compiled path caches it and merely refreshes the indexes —
+        the batched path caches it and merely refreshes the indexes —
         previously every iteration rebuilt guards *and* ephemeral
         indexes for relations that had not changed at all.
         """
-        if self.compiled:
+        if self.batched:
             guards = self._threshold_guards.get(idx)
             if guards is not None:
                 return guards
@@ -128,74 +122,44 @@ class HybridEvaluator:
                 self._base.indexes if is_indexed_plan(self.plan) else None
             ),
         )
-        if self.compiled:
+        if self.batched:
             self._threshold_guards[idx] = guards
         return guards
 
-    def _compiled_threshold(self, idx: int, rule: ThresholdRule, guards: list):
+    def _batched_threshold(self, idx: int, rule: ThresholdRule, guards: list):
         def build():
             carried = frozenset(
                 g.slot for g in guards if g.carries_value and g.slot is not None
             )
-            if self.mode in ("codegen", "batched"):
-                if self.mode == "batched":
-                    from .batched import (
-                        build_batched_rule_kernel as generate_rule_kernel,
-                    )
-                else:
-                    from .codegen import generate_rule_kernel
-                from .plan_ir import build_body_plan
-
-                ir, _indexes = build_body_plan(
-                    guards,
-                    variables=rule.body.enumeration_order(),
-                    condition=rule.body.condition,
-                    order=plan_ordering(self.plan),
-                    stats=self._base.stats.join,
-                    n_slots=len(rule.body.factors),
-                )
-                return generate_rule_kernel(
-                    ir,
-                    rule.body,
-                    rule.head_args,
-                    self.pops,
-                    self.database,
-                    self._base.functions,
-                    self.program.idb_names(),
-                    self.database.bool_holds,
-                    carried,
-                    self._base.domain,
-                    stats=self._base.stats.join,
-                    label=f"threshold.{rule.head_relation}.{idx}",
-                )
-            kernel = compile_kernel(
+            ir, _indexes = build_body_plan(
                 guards,
-                rule.body.enumeration_order(),
-                self._base.domain,
-                rule.body.condition,
-                self.database.bool_holds,
+                variables=rule.body.enumeration_order(),
+                condition=rule.body.condition,
                 order=plan_ordering(self.plan),
                 stats=self._base.stats.join,
                 n_slots=len(rule.body.factors),
             )
-            value_fn = BodyValue(
+            return build_batched_rule_kernel(
+                ir,
                 rule.body,
+                rule.head_args,
                 self.pops,
                 self.database,
                 self._base.functions,
                 self.program.idb_names(),
                 self.database.bool_holds,
                 carried,
+                self._base.domain,
+                stats=self._base.stats.join,
+                label=f"threshold.{rule.head_relation}.{idx}",
             )
-            head_key = compile_key(rule.head_args)
-            return kernel, value_fn, head_key
 
         return self._threshold_kernels.get(idx, build)
 
     def _threshold_step(self, idb: Instance) -> Set[Tuple[str, Key]]:
         """Evaluate every threshold rule, returning new Boolean facts."""
         new_facts: Set[Tuple[str, Key]] = set()
-        if self.compiled:
+        if self.batched:
             # Threshold bodies read the *freshly derived* instance, one
             # step ahead of the base ICO's input: advance the change
             # counters so the shared IDB guard indexes refresh to it
@@ -206,7 +170,7 @@ class HybridEvaluator:
             guards = self._rule_guards(idx, rule)
             acc: Dict[Key, Value] = {}
             self._base._current = idb
-            if self.compiled:
+            if self.batched:
                 refresh_guard_indexes(
                     guards,
                     self._base.indexes,
@@ -215,33 +179,12 @@ class HybridEvaluator:
                     bool_versions=self._base._bool_versions,
                     stats=self._base.stats.join,
                 )
-                entry = self._compiled_threshold(idx, rule, guards)
-                if self.mode in ("codegen", "batched"):
-                    # The kernel accumulates straight into ``acc``; its
-                    # match count is dropped for counter parity with
-                    # the interpreted threshold loop.
-                    entry.run(guards, idb, acc)
-                else:
-                    kernel, value_fn, head_getter = entry
-                    add = self.pops.add
-
-                    def emit(
-                        valu, slots,
-                        _v=value_fn, _h=head_getter, _idb=idb,
-                    ):
-                        value = _v(valu, slots, _idb)
-                        head_key = _h(valu)
-                        if head_key in acc:
-                            acc[head_key] = add(acc[head_key], value)
-                        else:
-                            acc[head_key] = value
-
-                    # Counter parity: the interpreted threshold loop
-                    # counts neither valuations nor products, so the
-                    # compiled one doesn't either (flush covers the
-                    # value-probe split).
-                    kernel.execute(guards, emit)
-                    value_fn.flush(self._base.stats.join)
+                # The kernel accumulates straight into ``acc``; its
+                # match count is dropped for counter parity with the
+                # interpreted threshold loop.
+                self._batched_threshold(idx, rule, guards).run(
+                    guards, idb, acc
+                )
             else:
                 for valuation, slot_values in enumerate_matches(
                     rule.body.enumeration_order(),

@@ -20,9 +20,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..semirings.base import FunctionRegistry, POPS, Value
 from .ast import Valuation, eval_term
+from .batched import build_batched_join_kernel
 from .indexes import NO_VALUE, IndexManager, JoinStats
 from .instance import Database, Instance
 from .polynomial import Monomial, Polynomial, PolynomialSystem, VarId
+from .plan_ir import build_body_plan
 from .rules import (
     FuncFactor,
     Program,
@@ -30,7 +32,7 @@ from .rules import (
     SumProduct,
     factor_atoms,
 )
-from .kernels import compile_kernel, resolve_engine_mode
+from .kernels import resolve_engine_mode
 from .valuations import (
     FactorEvaluator,
     body_guards,
@@ -125,22 +127,19 @@ def ground_program(
             testing).
         stats: Optional :class:`~repro.core.indexes.JoinStats`
             receiving the enumeration's probe/scan counters.
-        engine: ``"auto"``/``"compiled"`` lower each body's plan into a
-            :mod:`repro.core.kernels` closure pipeline (grounding is
-            one-shot, so the win is the compiled executor rather than
-            cross-iteration caching); ``"codegen"`` generates one flat
-            source function per body instead
-            (:mod:`repro.core.codegen`, emit mode — the leaf builds
-            provenance monomials, so the join streams matches into the
-            same callback); ``"batched"`` runs the same emit contract
-            off the columnar whole-batch pipeline
-            (:mod:`repro.core.batched`); ``"interpreted"`` keeps the
-            generator pipeline.
+        engine: ``"batched"`` (the ``"auto"`` choice on indexed plans)
+            runs each body's plan on the columnar whole-batch pipeline
+            (:mod:`repro.core.batched`) in emit mode — the leaf builds
+            provenance monomials, so the join streams matches into one
+            callback; grounding is one-shot, so the win is the
+            executor rather than cross-iteration caching.
+            ``"interpreted"`` keeps the generator pipeline.
 
     Returns:
         The grounded :class:`PolynomialSystem`.
     """
     pops = database.pops
+    batched = resolve_engine_mode(engine, plan) == "batched"
     if total is None:
         total = not (pops.is_semiring and pops.is_naturally_ordered)
     evaluator = FactorEvaluator(pops, database, functions, stats=stats)
@@ -196,43 +195,22 @@ def ground_program(
                     Polynomial((monomial,))
                 )
 
-            mode = resolve_engine_mode(engine, plan)
-            if mode != "interpreted":
-                if mode in ("codegen", "batched"):
-                    if mode == "batched":
-                        from .batched import (
-                            build_batched_join_kernel as generate_join_kernel,
-                        )
-                    else:
-                        from .codegen import generate_join_kernel
-                    from .plan_ir import build_body_plan
-
-                    ir, _indexes = build_body_plan(
-                        guards,
-                        variables=variables,
-                        condition=body.condition,
-                        order=plan_ordering(plan),
-                        stats=stats,
-                        n_slots=len(body.factors),
-                    )
-                    kernel = generate_join_kernel(
-                        ir,
-                        database.bool_holds,
-                        domain,
-                        stats=stats,
-                        label=f"ground.{rule.head_relation}",
-                    )
-                else:
-                    kernel = compile_kernel(
-                        guards,
-                        variables,
-                        domain,
-                        body.condition,
-                        database.bool_holds,
-                        order=plan_ordering(plan),
-                        stats=stats,
-                        n_slots=len(body.factors),
-                    )
+            if batched:
+                ir, _indexes = build_body_plan(
+                    guards,
+                    variables=variables,
+                    condition=body.condition,
+                    order=plan_ordering(plan),
+                    stats=stats,
+                    n_slots=len(body.factors),
+                )
+                kernel = build_batched_join_kernel(
+                    ir,
+                    database.bool_holds,
+                    domain,
+                    stats=stats,
+                    label=f"ground.{rule.head_relation}",
+                )
 
                 def emit(valu, slots):
                     slot_values = {

@@ -20,10 +20,9 @@ taxonomy).  The verdict is advisory: it rides on the result
 **Budgets** — :class:`Budget` carries the enforceable resource limits
 of ``solve(…, max_iterations=, max_wall_s=, max_tuples=)``.  The
 iteration loops (naïve, semi-naïve, scheduler strata, the sharded
-coordinator) charge it once per iteration; the kernel layers
-(closure/codegen/batched) poll the wall clock inside a rule
-application via :meth:`Budget.wall_hook`, so even a single runaway
-iteration is interrupted.  A tripped budget raises
+coordinator) charge it once per iteration; the batched kernels poll
+the wall clock inside a rule application via :meth:`Budget.wall_hook`,
+so even a single runaway iteration is interrupted.  A tripped budget raises
 :class:`BudgetExceeded` carrying a :class:`PartialResult` — the last
 *consistent* fixpoint prefix (a completed iterate, never a
 half-applied delta), per-stratum progress, and the delta that was

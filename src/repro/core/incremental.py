@@ -49,6 +49,7 @@ from ..semirings.base import FunctionRegistry
 from .guardrails import Budget, BudgetExceeded
 from .instance import Database, Instance, Key
 from .io import decode_value, encode_value
+from .kernels import canonical_engine
 from .naive import NaiveEvaluator, _relation_equal
 from .rules import Program, RelAtom
 from .seminaive import SemiNaiveError, SemiNaiveEvaluator
@@ -185,7 +186,9 @@ class IncrementalInstance:
         )
         self.functions = functions
         self.plan = plan
-        self.engine = engine
+        #: Canonicalized once, so a deprecated alias warns at
+        #: construction rather than on every maintenance solve.
+        self.engine = canonical_engine(engine)
         self.max_iterations = max_iterations
         #: Over-deletion marking budget; ``None`` scales with the
         #: fixpoint (a DRed pass that erases more than the whole warm

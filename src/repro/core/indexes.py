@@ -117,15 +117,11 @@ class JoinStats:
       the relation's store was untouched by the last delta (previously
       every IDB index was re-validated and rebuilt each iteration,
       whether or not the relation changed);
-    * ``kernel_cache_hits`` — rule applications served by a compiled
-      join kernel built in an earlier iteration (see
-      :mod:`repro.core.kernels`): the counter that proves kernels are
-      compiled once per stratum and reused, not rebuilt per iteration;
-    * ``codegen_kernels`` — bodies lowered to generated Python source
-      and ``compile()``-d (see :mod:`repro.core.codegen`).  Under
-      ``engine="codegen"`` this stays equal to the number of distinct
-      (rule, body[, variant]) plans — a growing count across
-      iterations would mean the source cache stopped working.
+    * ``kernel_cache_hits`` — rule applications served by a batched
+      kernel built in an earlier iteration (see
+      :class:`repro.core.kernels.KernelCache`): the counter that proves
+      kernels are built once per stratum and reused, not rebuilt per
+      iteration.
 
     The batched-engine counters (see :mod:`repro.core.batched`):
 
@@ -183,7 +179,6 @@ class JoinStats:
     factor_lookups: int = 0
     rebuild_skips: int = 0
     kernel_cache_hits: int = 0
-    codegen_kernels: int = 0
     batch_joins: int = 0
     batch_rows: int = 0
     vector_filter_prunes: int = 0
@@ -217,7 +212,6 @@ class JoinStats:
         self.factor_lookups += other.factor_lookups
         self.rebuild_skips += other.rebuild_skips
         self.kernel_cache_hits += other.kernel_cache_hits
-        self.codegen_kernels += other.codegen_kernels
         self.batch_joins += other.batch_joins
         self.batch_rows += other.batch_rows
         self.vector_filter_prunes += other.vector_filter_prunes
@@ -247,7 +241,6 @@ class JoinStats:
             "factor_lookups": self.factor_lookups,
             "rebuild_skips": self.rebuild_skips,
             "kernel_cache_hits": self.kernel_cache_hits,
-            "codegen_kernels": self.codegen_kernels,
             "batch_joins": self.batch_joins,
             "batch_rows": self.batch_rows,
             "vector_filter_prunes": self.vector_filter_prunes,

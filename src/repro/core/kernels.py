@@ -1,898 +1,37 @@
-"""Compiled join kernels: each (rule, body) plan lowered to closures.
+"""The ``engine=`` knob and the per-evaluator kernel cache.
 
-The interpreted pipeline (:func:`repro.core.valuations.enumerate_matches`
-→ :func:`repro.core.planner.build_plan` → ``execute_plan``) re-plans
-every body on **every rule application** and walks the plan with
-per-candidate dict copies, per-step ``isinstance`` dispatch and
-per-factor semiring attribute lookups.  None of that work depends on
-the iteration — the guard structure, join order, probe masks, pushdown
-placement and factor shapes of a body are fixed for an evaluator's
-lifetime — so this module compiles it exactly once per (rule, body[,
-delta-variant]) and caches the result for every later fixpoint
-iteration (the cache lives in the evaluator, i.e. one cache **per
-stratum** under the SCC scheduler).
+Two executors evaluate a rule body:
 
-What gets compiled:
+* ``"interpreted"`` — the per-application re-planned generator
+  pipeline (:func:`repro.core.valuations.enumerate_matches`), kept
+  byte-for-byte as the differential oracle and the only path for
+  ``plan="naive"``;
+* ``"batched"`` — the columnar whole-batch executor
+  (:mod:`repro.core.batched`), the production path.  Each (rule,
+  body[, delta-variant]) plan is lowered once per evaluator and cached
+  in a :class:`KernelCache` for every later fixpoint iteration.
 
-* **the join pipeline** — one nested closure per plan step: probe-value
-  extraction, key unification (reduced to *fresh-bind* and
-  *duplicate-check* positions only — masked positions are guaranteed
-  equal by the probe itself), pushed-down filters, and the incremental
-  fallback loop, all specialized against the concrete arg shapes;
-* **conditions and terms** — ``Φ``-conjuncts and head/probe terms become
-  closure trees with comparison operators and the Boolean-store oracle
-  resolved at compile time (no ``condition_holds`` interpretive walk);
-* **factor evaluation** — each body factor becomes one value getter
-  (store lookup, constant, indicator, interpreted function, …) with the
-  semiring ``⊗`` bound into a local; factors whose guard carries values
-  read the probe's ``[key, value]`` entry instead of re-hashing.
-
-The hot loop therefore does zero interpretive dispatch: it runs
-pre-resolved closures over one shared mutable valuation dict (no
-per-candidate copies — the step chain is fixed, so every leaf rebinds
-every variable on its path before anything reads it).
-
-Index objects are *not* baked in: evaluators replace guard indexes
-between iterations (:func:`repro.core.valuations.refresh_guard_indexes`,
-semi-naïve delta rebuilds), so the kernel re-resolves ``guard.index``
-in a per-invocation prologue and binds the probe methods into closure
-locals there.  Work counters are accumulated in local integers and
-flushed to :class:`~repro.core.indexes.JoinStats` once per invocation,
-keeping the counters' meanings identical to the interpreted engine's.
-
-``engine="interpreted"`` on the evaluators bypasses this module
-entirely, keeping the PR-3 path byte-for-byte as the differential
-baseline; the test suite checks compiled == interpreted fixpoints
-across value spaces and program shapes.
+``"auto"`` (the default) resolves to ``"batched"`` on indexed plans
+and to ``"interpreted"`` on ``plan="naive"``.  The retired engine names
+``"compiled"`` and ``"codegen"`` stay accepted for one release: they
+resolve to ``"batched"`` with a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+import warnings
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
-from ..semirings.base import FunctionRegistry, POPS, Value
-from .ast import (
-    And,
-    BoolAtom,
-    Compare,
-    Condition,
-    Constant,
-    KeyFunc,
-    Not,
-    Or,
-    Term,
-    TrueCond,
-    Valuation,
-    Variable,
-    _COMPARATORS,
-)
-from .indexes import NO_VALUE, JoinStats, KeyIndex
-from .instance import Database, Instance
-from .rules import (
-    Factor,
-    FuncFactor,
-    Indicator,
-    KeyAsValue,
-    RelAtom,
-    SumProduct,
-    ValueConst,
-    factor_atoms,
-)
-from .valuations import Guard
-
-#: ``emit(valuation, slots)`` — the kernel's leaf callback.  ``slots``
-#: is the kernel-owned list of per-factor carried values (``NO_VALUE``
-#: where nothing rode the probe); both arguments are reused across
-#: emissions and must not be retained.
-Emit = Callable[[Valuation, List[Any]], None]
-
-_EMPTY_BUCKET: Tuple = ()
-
-
-# ---------------------------------------------------------------------------
-# Term / condition compilation
-# ---------------------------------------------------------------------------
-
-
-def compile_term(term: Term) -> Callable[[Valuation], Any]:
-    """Compile a key term into a closure over the valuation."""
-    if isinstance(term, Variable):
-        name = term.name
-        return lambda valu: valu[name]
-    if isinstance(term, Constant):
-        value = term.value
-        return lambda valu, _v=value: _v
-    if isinstance(term, KeyFunc):
-        fn = term.fn
-        arg_fns = tuple(compile_term(a) for a in term.args)
-        return lambda valu: fn(*(g(valu) for g in arg_fns))
-    raise TypeError(f"unknown term {term!r}")
-
-
-def compile_key(terms_: Sequence[Term]) -> Callable[[Valuation], Tuple]:
-    """Compile a term tuple (head args, probe args) into one getter.
-
-    Arities 0–3 get unrolled closures, and all-variable keys — the
-    common case in every benchmark body — read the valuation directly,
-    so the hot loop pays one call and one tuple display per key
-    instead of a generator expression over per-term closures.
-    """
-    if all(isinstance(t, Variable) for t in terms_):
-        names = tuple(t.name for t in terms_)
-        if not names:
-            return lambda valu: ()
-        if len(names) == 1:
-            n0 = names[0]
-            return lambda valu: (valu[n0],)
-        if len(names) == 2:
-            n0, n1 = names
-            return lambda valu: (valu[n0], valu[n1])
-        if len(names) == 3:
-            n0, n1, n2 = names
-            return lambda valu: (valu[n0], valu[n1], valu[n2])
-        return lambda valu: tuple(valu[n] for n in names)
-    fns = tuple(compile_term(t) for t in terms_)
-    if len(fns) == 1:
-        g0 = fns[0]
-        return lambda valu: (g0(valu),)
-    if len(fns) == 2:
-        g0, g1 = fns
-        return lambda valu: (g0(valu), g1(valu))
-    if len(fns) == 3:
-        g0, g1, g2 = fns
-        return lambda valu: (g0(valu), g1(valu), g2(valu))
-    return lambda valu: tuple(g(valu) for g in fns)
-
-
-def compile_condition(
-    cond: Condition, bool_lookup: Callable[[str, Tuple], bool]
-) -> Optional[Callable[[Valuation], bool]]:
-    """Compile ``Φ`` into a closure; ``None`` means trivially true."""
-    if isinstance(cond, TrueCond):
-        return None
-    if isinstance(cond, Compare):
-        op = _COMPARATORS[cond.op]
-        left = compile_term(cond.left)
-        right = compile_term(cond.right)
-        return lambda valu: op(left(valu), right(valu))
-    if isinstance(cond, BoolAtom):
-        relation = cond.relation
-        arg_fns = tuple(compile_term(a) for a in cond.args)
-        return lambda valu: bool_lookup(
-            relation, tuple(g(valu) for g in arg_fns)
-        )
-    if isinstance(cond, Not):
-        inner = compile_condition(cond.inner, bool_lookup)
-        if inner is None:
-            return lambda valu: False
-        return lambda valu: not inner(valu)
-    if isinstance(cond, (And, Or)):
-        parts = tuple(
-            fn
-            for fn in (
-                compile_condition(p, bool_lookup) for p in cond.parts
-            )
-            if fn is not None
-        )
-        if isinstance(cond, And):
-            if not parts:
-                return None
-            if len(parts) == 1:
-                return parts[0]
-            return lambda valu: all(fn(valu) for fn in parts)
-        if len(parts) < len(cond.parts):
-            return None  # a trivially-true disjunct makes the Or true
-        if len(parts) == 1:
-            return parts[0]
-        return lambda valu: any(fn(valu) for fn in parts)
-    raise TypeError(f"unknown condition node {cond!r}")
-
-
-def _compile_filters(
-    conditions: Sequence[Condition],
-    bool_lookup: Callable[[str, Tuple], bool],
-) -> Tuple[Callable[[Valuation], bool], ...]:
-    return tuple(
-        fn
-        for fn in (compile_condition(c, bool_lookup) for c in conditions)
-        if fn is not None
-    )
-
-
-# ---------------------------------------------------------------------------
-# Factor compilation (the ⊗-product of a body)
-# ---------------------------------------------------------------------------
-
-
-def _compile_factor(
-    factor: Factor,
-    pops: POPS,
-    database: Database,
-    functions: FunctionRegistry,
-    idb_names: frozenset,
-    bool_lookup: Callable[[str, Tuple], bool],
-) -> Tuple[Callable[[Valuation, Instance], Value], int]:
-    """Compile one factor into ``(valuation, idb) -> value``.
-
-    Returns the getter plus the number of store lookups one evaluation
-    pays (the ``factor_lookups`` counter's unit: one per
-    :class:`RelAtom` read, including atoms nested under interpreted
-    functions — matching ``FactorEvaluator.atom_value`` exactly).  The
-    store routing mirrors ``FactorEvaluator.atom_value``: IDB wins,
-    then POPS EDB, then the Boolean embedding, then the ``⊥`` default.
-    """
-    if isinstance(factor, RelAtom):
-        relation = factor.relation
-        key_fns = tuple(compile_term(a) for a in factor.args)
-        if relation in idb_names:
-            return (
-                lambda valu, idb: idb.get(
-                    relation, tuple(g(valu) for g in key_fns)
-                ),
-                1,
-            )
-        if relation in database.relations:
-            store = database.relations[relation]
-            bottom = pops.bottom
-            return (
-                lambda valu, idb: store.get(
-                    tuple(g(valu) for g in key_fns), bottom
-                ),
-                1,
-            )
-        if relation in database.bool_relations:
-            store = database.bool_relations[relation]
-            one, zero = pops.one, pops.zero
-            return (
-                lambda valu, idb: (
-                    one if tuple(g(valu) for g in key_fns) in store else zero
-                ),
-                1,
-            )
-        bottom = pops.bottom
-        empty: Dict = {}
-        return (
-            lambda valu, idb: database.relations.get(relation, empty).get(
-                tuple(g(valu) for g in key_fns), bottom
-            ),
-            1,
-        )
-    if isinstance(factor, ValueConst):
-        value = factor.value
-        return (lambda valu, idb, _v=value: _v), 0
-    if isinstance(factor, Indicator):
-        cond_fn = compile_condition(factor.condition, bool_lookup)
-        true_value = (
-            factor.true_value if factor.true_value is not None else pops.one
-        )
-        false_value = (
-            factor.false_value if factor.false_value is not None else pops.zero
-        )
-        if cond_fn is None:
-            return (lambda valu, idb, _v=true_value: _v), 0
-        return (
-            lambda valu, idb: true_value if cond_fn(valu) else false_value,
-            0,
-        )
-    if isinstance(factor, FuncFactor):
-        fn = functions.resolve(factor.name)
-        sub_fns = tuple(
-            _compile_factor(
-                sub, pops, database, functions, idb_names, bool_lookup
-            )[0]
-            for sub in factor.args
-        )
-        return (
-            lambda valu, idb: fn(*(g(valu, idb) for g in sub_fns)),
-            sum(1 for _atom in factor_atoms(factor)),
-        )
-    if isinstance(factor, KeyAsValue):
-        term_fn = compile_term(factor.term)
-        if factor.convert is None:
-            return (lambda valu, idb: term_fn(valu)), 0
-        convert = functions.resolve(factor.convert)
-        return (lambda valu, idb: convert(term_fn(valu))), 0
-    raise TypeError(f"unknown factor {factor!r}")
-
-
-class BodyValue:
-    """Compiled ⊗-product of a body's factors.
-
-    ``__call__(valuation, slots, idb)`` multiplies the per-factor
-    values, serving factors whose carried probe value landed in
-    ``slots`` without a store lookup.  ``value_probe_hits`` /
-    ``factor_lookups`` are accumulated locally and flushed by the
-    caller via :meth:`flush`.
-    """
-
-    __slots__ = ("_pieces", "_mul", "_one", "hits", "lookups")
-
-    def __init__(
-        self,
-        body: SumProduct,
-        pops: POPS,
-        database: Database,
-        functions: FunctionRegistry,
-        idb_names: frozenset,
-        bool_lookup: Callable[[str, Tuple], bool],
-        carried_slots: frozenset,
-    ):
-        self._pieces: List[Tuple[int, bool, Callable, int]] = []
-        for i, factor in enumerate(body.factors):
-            fn, lookups = _compile_factor(
-                factor, pops, database, functions, idb_names, bool_lookup
-            )
-            self._pieces.append((i, i in carried_slots, fn, lookups))
-        self._mul = pops.mul
-        self._one = pops.one
-        self.hits = 0
-        self.lookups = 0
-
-    def __call__(self, valu: Valuation, slots: List[Any], idb: Instance) -> Value:
-        acc = self._one
-        mul = self._mul
-        for i, carried, fn, lookups in self._pieces:
-            if carried:
-                value = slots[i]
-                if value is not NO_VALUE:
-                    self.hits += 1
-                    acc = mul(acc, value)
-                    continue
-            if lookups:
-                self.lookups += lookups
-            acc = mul(acc, fn(valu, idb))
-        return acc
-
-    def flush(self, stats: Optional[JoinStats]) -> None:
-        if stats is not None:
-            stats.value_probe_hits += self.hits
-            stats.factor_lookups += self.lookups
-        self.hits = 0
-        self.lookups = 0
-
-
-class VariantValue:
-    """Compiled ⊗-product of one semi-naïve differential variant.
-
-    Occurrence factors read the store Eq. 64 assigns them — ``new``
-    before the delta occurrence, ``delta`` at it, ``old`` after —
-    resolved per invocation via the ``(new, delta, old)`` triple, with
-    the rank-vs-``j`` routing compiled away.  Non-occurrence factors
-    evaluate exactly like the interpreted ``_variant_value`` (EDB
-    semantics, empty IDB).  Carried probe values serve the slots whose
-    guard index covers the variant's own store.
-    """
-
-    __slots__ = ("_pieces", "_mul", "_one", "hits", "lookups")
-
-    def __init__(
-        self,
-        body: SumProduct,
-        idb_positions: Sequence[int],
-        j: int,
-        pops: POPS,
-        database: Database,
-        functions: FunctionRegistry,
-        bool_lookup: Callable[[str, Tuple], bool],
-        carried_slots: frozenset,
-    ):
-        self._pieces: List[Tuple[int, bool, Callable, int]] = []
-        for i, factor in enumerate(body.factors):
-            if isinstance(factor, RelAtom) and i in idb_positions:
-                rank = idb_positions.index(i)
-                store_pos = 0 if rank < j else (1 if rank == j else 2)
-                relation = factor.relation
-                key_fns = tuple(compile_term(a) for a in factor.args)
-
-                def occurrence(
-                    valu, stores, _p=store_pos, _r=relation, _k=key_fns
-                ):
-                    return stores[_p].get(_r, tuple(g(valu) for g in _k))
-
-                self._pieces.append(
-                    (i, i in carried_slots, occurrence, 1)
-                )
-            else:
-                fn, lookups = _compile_factor(
-                    factor, pops, database, functions, frozenset(), bool_lookup
-                )
-                self._pieces.append(
-                    (
-                        i,
-                        i in carried_slots,
-                        lambda valu, stores, _f=fn: _f(valu, None),
-                        lookups,
-                    )
-                )
-        self._mul = pops.mul
-        self._one = pops.one
-        self.hits = 0
-        self.lookups = 0
-
-    def __call__(
-        self,
-        valu: Valuation,
-        slots: List[Any],
-        stores: Tuple[Instance, Instance, Instance],
-    ) -> Value:
-        acc = self._one
-        mul = self._mul
-        for i, carried, fn, lookups in self._pieces:
-            if carried:
-                value = slots[i]
-                if value is not NO_VALUE:
-                    self.hits += 1
-                    acc = mul(acc, value)
-                    continue
-            if lookups:
-                self.lookups += lookups
-            acc = mul(acc, fn(valu, stores))
-        return acc
-
-    def flush(self, stats: Optional[JoinStats]) -> None:
-        if stats is not None:
-            stats.value_probe_hits += self.hits
-            stats.factor_lookups += self.lookups
-        self.hits = 0
-        self.lookups = 0
-
-
-# ---------------------------------------------------------------------------
-# The compiled join pipeline
-# ---------------------------------------------------------------------------
-
-
-class _StepSpec:
-    """Pre-resolved shape of one plan step (see ``compile_kernel``)."""
-
-    __slots__ = (
-        "guard_pos",
-        "mask",
-        "probe_key",
-        "arity",
-        "binds",
-        "dups",
-        "filters",
-        "slot",
-    )
-
-    def __init__(self, guard_pos, mask, probe_key, arity, binds, dups, filters, slot):
-        self.guard_pos = guard_pos
-        self.mask = mask
-        self.probe_key = probe_key  # compiled (valuation) -> probe tuple
-        self.arity = arity
-        self.binds = binds  # ((key position, variable name), …) fresh binds
-        self.dups = dups  # ((key position, earlier position), …) dup checks
-        self.filters = filters
-        self.slot = slot
-
-
-class _FallbackSpec:
-    __slots__ = ("var", "binding", "filters")
-
-    def __init__(self, var, binding, filters):
-        self.var = var
-        self.binding = binding
-        self.filters = filters
-
-
-class CompiledKernel:
-    """One body's join pipeline, compiled once and re-run per iteration.
-
-    ``execute(guards, emit)`` re-resolves the (possibly refreshed)
-    guard indexes, binds their probe methods into closure locals and
-    streams every satisfying valuation into ``emit`` — the valuation
-    dict and slot list are owned by the kernel and reused, so consumers
-    must copy whatever they retain.  The valuation stream is identical
-    to the interpreted ``enumerate_matches`` (same plan, same pushdown
-    schedule, same fallback semantics); only the dispatch is gone.
-    """
-
-    def __init__(
-        self,
-        steps: List[_StepSpec],
-        fallback: List[_FallbackSpec],
-        residual: Tuple[Callable, ...],
-        prefix_filters: Tuple[Callable, ...],
-        initial_bindings: Tuple[Tuple[str, Callable, bool], ...],
-        domain: Tuple[Any, ...],
-        domain_set: Optional[frozenset],
-        n_slots: int,
-        stats: Optional[JoinStats],
-    ):
-        self._steps = steps
-        self._fallback = fallback
-        self._residual = residual
-        self._prefix_filters = prefix_filters
-        self._initial_bindings = initial_bindings
-        self._domain = domain
-        self._domain_set = domain_set
-        self._n_slots = n_slots
-        self._stats = stats
-        #: Optional budget poll (see repro.core.guardrails.Budget):
-        #: checked once per rule application in the execute prologue,
-        #: so a wall budget interrupts even a single runaway iteration.
-        self.poll = None
-
-    def install_poll(self, poll) -> None:
-        """Arm the kernel with a budget poll hook (``None`` = unarmed)."""
-        self.poll = poll
-
-    # ------------------------------------------------------------------
-    def execute(self, guards: Sequence[Guard], emit: Emit) -> None:
-        """Run the pipeline against the current guard indexes.
-
-        The prologue re-resolves each step's index, binds its probe
-        method and the step's compiled pieces into closure locals, and
-        links the steps innermost-first into one call chain — the hot
-        loop then runs nothing but local closure calls.  ``emit`` is
-        called once per match (consumers count their own matches); the
-        join counters flush into the kernel's
-        :class:`~repro.core.indexes.JoinStats` exactly once.
-        """
-        if self.poll is not None:
-            self.poll()
-        stats = self._stats
-        # Per-invocation counter cells: [probes, probed, scans, scanned,
-        # arity_skips, prunes, fb_candidates, fb_extensions, eq_binds].
-        ctr = [0] * 9
-        valu: Valuation = {}
-        slots: List[Any] = [NO_VALUE] * self._n_slots
-
-        domain = self._domain
-        domain_set = self._domain_set
-        residual = self._residual
-        fallback = self._fallback
-
-        if fallback or residual:
-            n_fallback = len(fallback)
-
-            def run_fallback(depth: int) -> None:
-                # The cold path: guard-complete bodies never enter it.
-                if depth == n_fallback:
-                    for cond in residual:
-                        if not cond(valu):
-                            ctr[5] += 1
-                            return
-                    emit(valu, slots)
-                    return
-                spec = fallback[depth]
-                last = depth == n_fallback - 1
-                if spec.binding is not None:
-                    value = spec.binding(valu)
-                    ctr[8] += 1
-                    if domain_set is not None and value not in domain_set:
-                        return
-                    candidates: Sequence = (value,)
-                else:
-                    candidates = domain
-                var = spec.var
-                filters = spec.filters
-                for value in candidates:
-                    valu[var] = value
-                    if last:
-                        ctr[6] += 1
-                    else:
-                        ctr[7] += 1
-                    pruned = False
-                    for cond in filters:
-                        if not cond(valu):
-                            ctr[5] += 1
-                            pruned = True
-                            break
-                    if not pruned:
-                        run_fallback(depth + 1)
-
-            inner: Callable[[], None] = lambda: run_fallback(0)
-            tail_emit: Optional[Emit] = None
-        else:
-            # No fallback tail: the innermost step calls ``emit``
-            # directly — the consumer counts its own matches, so no
-            # per-match frame sits between the join loop and it.
-            inner = lambda: emit(valu, slots)  # noqa: E731
-            tail_emit = emit
-
-        # Link the steps innermost-first: each layer resolves the
-        # current index (guards may have been refreshed since the last
-        # invocation) and closes over its probe method, compiled key
-        # getter, bind/dup specs and filters as locals.
-        innermost = True
-        for spec in reversed(self._steps):
-            guard = guards[spec.guard_pos]
-            index = guard.index
-            if index is None:
-                index = KeyIndex(guard.keys(), stats=stats)
-            inner = self._link_step(
-                spec, index, inner, valu, slots, ctr,
-                emit=tail_emit if innermost else None,
-            )
-            innermost = False
-
-        ok = True
-        for var, term_fn, check_domain in self._initial_bindings:
-            value = term_fn(valu)
-            ctr[8] += 1
-            if check_domain and domain_set is not None and value not in domain_set:
-                ok = False
-                break
-            valu[var] = value
-        if ok:
-            for cond in self._prefix_filters:
-                if not cond(valu):
-                    ctr[5] += 1
-                    ok = False
-                    break
-        if ok:
-            inner()
-
-        if stats is not None:
-            stats.probes += ctr[0]
-            stats.probed_keys += ctr[1]
-            stats.scans += ctr[2]
-            stats.scanned_keys += ctr[3]
-            stats.arity_skips += ctr[4]
-            stats.pushdown_prunes += ctr[5]
-            stats.fallback_candidates += ctr[6]
-            stats.fallback_extensions += ctr[7]
-            stats.equality_bindings += ctr[8]
-
-    @staticmethod
-    def _link_step(
-        spec: _StepSpec,
-        index: KeyIndex,
-        inner: Callable[[], None],
-        valu: Valuation,
-        slots: List[Any],
-        ctr: List[int],
-        emit: Optional[Emit] = None,
-    ) -> Callable[[], None]:
-        """One pipeline layer with everything bound into closure locals.
-
-        ``emit`` marks the innermost layer of a fallback-free pipeline:
-        its loop calls the consumer directly instead of going through
-        a zero-arg ``inner`` trampoline — one call frame per match
-        saved on the hottest line of the engine.
-        """
-        arity = spec.arity
-        binds = spec.binds
-        dups = spec.dups
-        filters = spec.filters
-        slot = spec.slot
-        mask = spec.mask
-        probe_key = spec.probe_key
-
-        if mask:
-            # Bind the mask table's ``dict.get`` directly: compiled
-            # plans are frozen, so the per-probe observation feedback
-            # ``probe_entries`` maintains (hit rates for adaptive
-            # re-ordering) has no consumer here.
-            bucket_of = index.mask_table(mask).get
-
-            def candidates() -> Sequence:
-                found = bucket_of(probe_key(valu), _EMPTY_BUCKET)
-                ctr[0] += 1
-                ctr[1] += len(found)
-                return found
-
-        else:
-            entries = index.entries()
-
-            def candidates() -> Sequence:
-                ctr[2] += 1
-                ctr[3] += len(entries)
-                return entries
-
-        # The fully-specialized common shape — one fresh variable, no
-        # duplicate checks, no filters, value-carrying — gets its own
-        # tight loop; everything else takes the general layer.
-        if len(binds) == 1 and not dups and not filters and slot is not None:
-            pos, name = binds[0]
-
-            if emit is not None:
-
-                def emit_single() -> None:
-                    for entry in candidates():
-                        key = entry[0]
-                        if len(key) != arity:
-                            ctr[4] += 1
-                            continue
-                        valu[name] = key[pos]
-                        slots[slot] = entry[1]
-                        emit(valu, slots)
-
-                return emit_single
-
-            def run_single() -> None:
-                for entry in candidates():
-                    key = entry[0]
-                    if len(key) != arity:
-                        ctr[4] += 1
-                        continue
-                    valu[name] = key[pos]
-                    slots[slot] = entry[1]
-                    inner()
-
-            return run_single
-
-        def run() -> None:
-            for entry in candidates():
-                key = entry[0]
-                if len(key) != arity:
-                    ctr[4] += 1
-                    continue
-                if dups:
-                    bad = False
-                    for pos, first in dups:
-                        if key[pos] != key[first]:
-                            bad = True
-                            break
-                    if bad:
-                        continue
-                for pos, name in binds:
-                    valu[name] = key[pos]
-                if filters:
-                    pruned = False
-                    for cond in filters:
-                        if not cond(valu):
-                            ctr[5] += 1
-                            pruned = True
-                            break
-                    if pruned:
-                        continue
-                if slot is not None:
-                    slots[slot] = entry[1]
-                if emit is None:
-                    inner()
-                else:
-                    emit(valu, slots)
-
-        return run
-
-    def matches(
-        self, guards: Sequence[Guard]
-    ) -> List[Tuple[Valuation, Dict[int, Value]]]:
-        """Materialized ``(valuation, slot_values)`` pairs (API shim).
-
-        Mirrors :func:`repro.core.valuations.enumerate_matches`'s
-        per-match shape for consumers that want plain dicts (grounding,
-        tests); each pair is an independent copy.
-        """
-        out: List[Tuple[Valuation, Dict[int, Value]]] = []
-
-        def emit(valu: Valuation, slots: List[Any]) -> None:
-            out.append(
-                (
-                    dict(valu),
-                    {
-                        i: v
-                        for i, v in enumerate(slots)
-                        if v is not NO_VALUE
-                    },
-                )
-            )
-
-        self.execute(guards, emit)
-        return out
-
-
-def compile_kernel_ir(
-    ir,
-    fallback_domain: Sequence[Any],
-    bool_lookup: Callable[[str, Tuple], bool],
-    stats: Optional[JoinStats] = None,
-) -> CompiledKernel:
-    """Compile a :class:`~repro.core.plan_ir.BodyPlanIR` into closures.
-
-    The closure backend of the Plan IR: every IR node becomes its
-    pre-resolved closure shape — probe keys via :func:`compile_key`,
-    filters/residual via :func:`compile_condition`, the fresh-bind /
-    dup-check positions taken from the IR verbatim.  Index objects are
-    *not* baked in; :meth:`CompiledKernel.execute` re-resolves
-    ``guards[step.guard_pos].index`` per invocation.
-    """
-    if any(step.checks for step in ir.steps):
-        raise ValueError(
-            "plans carrying runtime base-valuation checks (legacy "
-            "JoinPlan lowering) have no compiled pipeline"
-        )
-    step_specs: List[_StepSpec] = [
-        _StepSpec(
-            guard_pos=step.guard_pos,
-            mask=step.mask,
-            probe_key=compile_key(step.probe_args),
-            arity=step.arity,
-            binds=step.binds,
-            dups=step.dups,
-            filters=_compile_filters(step.filters, bool_lookup),
-            slot=step.slot,
-        )
-        for step in ir.steps
-    ]
-    fallback_specs = [
-        _FallbackSpec(
-            var=fb.var,
-            binding=None if fb.binding is None else compile_term(fb.binding),
-            filters=_compile_filters(fb.filters, bool_lookup),
-        )
-        for fb in ir.fallback
-    ]
-    needs_domain_set = ir.needs_domain_set or any(
-        fb.binding is not None for fb in ir.fallback
-    )
-    return CompiledKernel(
-        steps=step_specs,
-        fallback=fallback_specs,
-        residual=_compile_filters(ir.residual, bool_lookup),
-        prefix_filters=_compile_filters(ir.prefix_filters, bool_lookup),
-        initial_bindings=tuple(
-            (var, compile_term(term), check)
-            for var, term, check in ir.initial_bindings
-        ),
-        domain=tuple(fallback_domain),
-        domain_set=frozenset(fallback_domain) if needs_domain_set else None,
-        n_slots=ir.n_slots,
-        stats=stats,
-    )
-
-
-def compile_kernel(
-    guards: Sequence[Guard],
-    variables: Sequence[str],
-    fallback_domain: Sequence[Any],
-    condition: Condition,
-    bool_lookup: Callable[[str, Tuple], bool],
-    extra_conjuncts: Sequence[Condition] = (),
-    order: str = "cost",
-    stats: Optional[JoinStats] = None,
-    n_slots: int = 0,
-) -> CompiledKernel:
-    """Plan one body and compile the resulting IR into closures.
-
-    Planning (join order, probe masks, pushdown schedule) is delegated
-    to :func:`repro.core.plan_ir.build_body_plan` — the kernel layer
-    changes *when* that work happens (once per evaluator instead of
-    once per rule application), not *what* is planned.  The chosen
-    order is therefore the one the first iteration's selectivity
-    estimates produce, frozen for the run; later guard lists passed to
-    :meth:`CompiledKernel.execute` must be structurally identical
-    (same relations in the same positions), which every evaluator's
-    per-body guard construction guarantees.
-    """
-    from .plan_ir import build_body_plan
-
-    ir, _indexes = build_body_plan(
-        guards,
-        variables=variables,
-        condition=condition,
-        extra_conjuncts=extra_conjuncts,
-        order=order,
-        stats=stats,
-        n_slots=n_slots,
-    )
-    return compile_kernel_ir(ir, fallback_domain, bool_lookup, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# The per-evaluator cache
-# ---------------------------------------------------------------------------
+from .indexes import JoinStats
 
 
 class KernelCache:
-    """Per-evaluator (= per-stratum) cache of compiled kernels.
+    """Per-evaluator (= per-stratum) cache of batched kernels.
 
     Keys are caller-chosen hashables (plan index, delta-variant rank);
     a hit is counted in ``JoinStats.kernel_cache_hits`` — the counter
     the regression gate watches to prove kernels are actually reused
-    across fixpoint iterations instead of recompiled.
+    across fixpoint iterations instead of rebuilt.
     """
 
     def __init__(self, stats: Optional[JoinStats] = None):
@@ -912,49 +51,65 @@ class KernelCache:
         return len(self._kernels)
 
 
+#: Retired engine names, accepted for one release as aliases of
+#: ``"batched"`` (each use warns).
+DEPRECATED_ENGINES: Tuple[str, ...] = ("compiled", "codegen")
+
 #: The single source of truth for the ``engine=`` knob — shared by
 #: :func:`repro.core.engine.solve` and the ``--engine`` CLI choice so
 #: the two can never drift apart.
 VALID_ENGINES: Tuple[str, ...] = (
     "auto",
     "interpreted",
-    "compiled",
-    "codegen",
     "batched",
-)
+) + DEPRECATED_ENGINES
 
 
-def resolve_engine_mode(engine: str, plan: str) -> str:
-    """Resolve an ``engine=`` knob to a pipeline mode.
+def canonical_engine(engine: str) -> str:
+    """Validate an ``engine=`` value and map deprecated aliases.
 
-    Returns one of ``"interpreted"`` (the per-application re-planned
-    generator pipeline, the differential baseline), ``"closures"``
-    (this module's nested-closure kernels), ``"codegen"`` (the
-    source-generating backend of :mod:`repro.core.codegen`) or
-    ``"batched"`` (the columnar whole-batch backend of
-    :mod:`repro.core.batched`).  ``"auto"`` picks closures exactly when
-    the plan is indexed — the ``plan="naive"`` seed baseline stays
-    interpreted byte-for-byte; ``"compiled"``, ``"codegen"`` and
-    ``"batched"`` reject non-indexed plans outright.
+    Returns ``engine`` unchanged unless it is one of
+    :data:`DEPRECATED_ENGINES`, which map to ``"batched"`` with one
+    :class:`DeprecationWarning`.  Entry points call this once, so the
+    evaluators they build see only the canonical name.
     """
-    from .valuations import is_indexed_plan
-
     if engine not in VALID_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; valid choices: "
             + ", ".join(VALID_ENGINES)
         )
+    if engine in DEPRECATED_ENGINES:
+        warnings.warn(
+            f"engine={engine!r} is deprecated and now runs "
+            "engine='batched'; pass 'batched' (or 'auto') instead",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        return "batched"
+    return engine
+
+
+def resolve_engine_mode(engine: str, plan: str) -> str:
+    """Resolve an ``engine=`` knob to a pipeline mode.
+
+    Returns ``"interpreted"`` (the per-application re-planned
+    generator pipeline, the differential oracle) or ``"batched"`` (the
+    columnar whole-batch executor of :mod:`repro.core.batched`).
+    ``"auto"`` picks ``"batched"`` exactly when the plan is indexed —
+    the ``plan="naive"`` seed baseline stays interpreted byte-for-byte;
+    an explicit ``"batched"`` (or a deprecated alias of it) rejects
+    non-indexed plans outright.
+    """
+    from .valuations import is_indexed_plan
+
+    engine = canonical_engine(engine)
     if engine == "interpreted":
         return "interpreted"
-    if engine in ("compiled", "codegen", "batched") and not is_indexed_plan(
-        plan
-    ):
-        raise ValueError(
-            f"engine={engine!r} requires an indexed plan; "
-            f"plan={plan!r} has no compiled pipeline"
-        )
     if not is_indexed_plan(plan):
+        if engine == "batched":
+            raise ValueError(
+                f"engine={engine!r} requires an indexed plan; "
+                f"plan={plan!r} has no batched pipeline"
+            )
         return "interpreted"
-    if engine in ("codegen", "batched"):
-        return engine
-    return "closures"
+    return "batched"

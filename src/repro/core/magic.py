@@ -35,7 +35,7 @@ pays a per-tuple Python call.  The modern engine's demand path —
 :mod:`repro.core.demand`: the same sideways-information-passing
 rewrite, but with magic guards as plain value-``1`` atoms and support
 views in the pushdown-filter slot, running unchanged through the
-compiled/codegen/batched backends, SCC scheduling and sharding
+batched executor, SCC scheduling and sharding
 (experiment E21 measures it).  This module remains the differential
 baseline for the transformation itself.
 """

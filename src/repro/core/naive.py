@@ -22,16 +22,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings.base import FunctionRegistry, Value
 from .ast import And, BoolAtom, Condition, Not, Or, eval_term
+from .batched import build_batched_rule_kernel
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, JoinStats
 from .instance import Database, Instance, Key
-from .kernels import (
-    BodyValue,
-    KernelCache,
-    compile_kernel,
-    compile_key,
-    resolve_engine_mode,
-)
+from .kernels import KernelCache, resolve_engine_mode
+from .plan_ir import build_body_plan
 from .rules import (
     FuncFactor,
     Indicator,
@@ -68,7 +64,7 @@ class EvalStats:
     ``#bodies × global-fixpoint depth`` to ``Σ #bodies × per-SCC
     depth``, with non-recursive strata applying exactly once.
 
-    ``rules_skipped`` counts the rule applications the compiled engine
+    ``rules_skipped`` counts the rule applications the batched engine
     avoided outright via delta-driven activation: a body none of whose
     input relations (IDB atoms *and* Boolean condition stores) were
     touched by the last delta re-uses its cached contribution instead
@@ -210,20 +206,14 @@ class NaiveEvaluator:
         smaller) and share one counter set plus one index cache so
         frozen-layer indexes are built once and reused across strata.
 
-        ``engine`` selects the join/evaluation pipeline: ``"auto"``
-        (the default) compiles each (rule, body) plan into a
-        :mod:`repro.core.kernels` closure pipeline — built once, cached
-        across iterations — whenever the plan is indexed, and also
-        enables delta-driven rule activation; ``"codegen"`` lowers each
-        plan to generated Python source instead
-        (:mod:`repro.core.codegen` — one flat function per body,
-        cached the same way); ``"batched"`` executes each plan over
-        the whole candidate batch at once as columnar hash-joins with
-        vectorized filter masks (:mod:`repro.core.batched`);
-        ``"interpreted"`` keeps the
-        per-application re-planned generator pipeline byte-for-byte
-        (the differential baseline); ``"compiled"`` forces closure
-        kernels and rejects non-indexed plans.
+        ``engine`` selects the join/evaluation pipeline (see
+        :func:`~repro.core.kernels.resolve_engine_mode`): ``"batched"``
+        — the ``"auto"`` choice on indexed plans — lowers each (rule,
+        body) plan once into a columnar whole-batch kernel
+        (:mod:`repro.core.batched`), cached across iterations, and
+        enables delta-driven rule activation; ``"interpreted"`` keeps
+        the per-application re-planned generator pipeline
+        byte-for-byte (the differential oracle).
         """
         self.program = program
         self.database = database
@@ -235,9 +225,9 @@ class NaiveEvaluator:
         #: budget is armed, so the happy path pays one load per plan.
         self._poll = budget.wall_hook() if budget is not None else None
         self.plan = plan
-        self.engine = engine
-        self.mode = resolve_engine_mode(engine, plan)
-        self.compiled = self.mode != "interpreted"
+        self.batched = resolve_engine_mode(engine, plan) == "batched"
+        #: The resolved engine, passed on to nested evaluators.
+        self.engine = "batched" if self.batched else "interpreted"
         self.idb_names = program.idb_names()
         self.stats = stats if stats is not None else EvalStats()
         self.evaluator = FactorEvaluator(
@@ -267,7 +257,7 @@ class NaiveEvaluator:
         self._bool_versions: Dict[str, int] = {}
         self._bool_sizes: Dict[str, int] = {}
         self._plans = self._build_plans()
-        # Compiled-engine state: one kernel cache for the evaluator's
+        # Batched-engine state: one kernel cache for the evaluator's
         # lifetime (= one stratum under the SCC scheduler), the static
         # input-relation sets per plan, and the last contribution of
         # each plan for delta-driven reuse.
@@ -368,116 +358,58 @@ class NaiveEvaluator:
             tuple(self._bool_versions.get(rel, 0) for rel in bool_deps),
         )
 
-    def _compiled_rule(self, idx: int):
-        """The cached compiled form of one plan.
-
-        Under ``mode="closures"`` this is the (kernel, value fn, head
-        extractor, head relation) tuple; under ``mode="codegen"`` it is
-        one :class:`~repro.core.codegen.CodegenKernel` whose generated
-        function joins, evaluates and accumulates in one flat pass.
-        Both live in the same :class:`~repro.core.kernels.KernelCache`,
-        so ``kernel_cache_hits`` counts reuse identically.
-        """
+    def _batched_rule(self, idx: int):
+        """The cached :class:`~repro.core.batched.BatchedKernel` of one
+        plan: it joins, evaluates and ⊕-accumulates in one pass, and
+        ``kernel_cache_hits`` counts its reuse across iterations."""
 
         def build():
             rule, body, guards, variables, extra = self._plans[idx]
             carried = frozenset(
                 g.slot for g in guards if g.carries_value and g.slot is not None
             )
-            if self.mode in ("codegen", "batched"):
-                if self.mode == "batched":
-                    from .batched import (
-                        build_batched_rule_kernel as generate_rule_kernel,
-                    )
-                else:
-                    from .codegen import generate_rule_kernel
-                from .plan_ir import build_body_plan
-
-                ir, _indexes = build_body_plan(
-                    guards,
-                    variables=variables,
-                    condition=body.condition,
-                    extra_conjuncts=extra,
-                    order=plan_ordering(self.plan),
-                    stats=self.stats.join,
-                    n_slots=len(body.factors),
-                )
-                generated = generate_rule_kernel(
-                    ir,
-                    body,
-                    rule.head_args,
-                    self.pops,
-                    self.database,
-                    self.functions,
-                    self.idb_names,
-                    self.database.bool_holds,
-                    carried,
-                    self.domain,
-                    stats=self.stats.join,
-                    label=f"{rule.head_relation}.{idx}",
-                )
-                generated.install_poll(self._poll)
-                return generated
-            kernel = compile_kernel(
+            ir, _indexes = build_body_plan(
                 guards,
-                variables,
-                self.domain,
-                body.condition,
-                self.database.bool_holds,
+                variables=variables,
+                condition=body.condition,
                 extra_conjuncts=extra,
                 order=plan_ordering(self.plan),
                 stats=self.stats.join,
                 n_slots=len(body.factors),
             )
-            kernel.install_poll(self._poll)
-            value_fn = BodyValue(
+            kernel = build_batched_rule_kernel(
+                ir,
                 body,
+                rule.head_args,
                 self.pops,
                 self.database,
                 self.functions,
                 self.idb_names,
                 self.database.bool_holds,
                 carried,
+                self.domain,
+                stats=self.stats.join,
+                label=f"{rule.head_relation}.{idx}",
             )
-            head_key = compile_key(rule.head_args)
-            return kernel, value_fn, head_key, rule.head_relation
+            kernel.install_poll(self._poll)
+            return kernel
 
         return self._kernels.get(idx, build)
 
-    def _apply_compiled(
+    def _apply_batched(
         self, idx: int, instance: Instance
     ) -> Dict[Key, Value]:
-        """One compiled rule application; returns its contribution map.
+        """One batched rule application; returns its contribution map.
 
         The map is keyed by head key alone (the rule's head relation is
         fixed), so the per-match accumulation pays no ``(rel, key)``
         tuple allocation.
         """
-        _rule, _body, guards, _variables, _extra = self._plans[idx]
-        entry = self._compiled_rule(idx)
+        guards = self._plans[idx][2]
         contrib: Dict[Key, Value] = {}
-        if self.mode in ("codegen", "batched"):
-            matched = entry.run(guards, instance, contrib)
-            self.stats.valuations += matched
-            self.stats.products += matched
-            return contrib
-        kernel, value_fn, head_key, _head_rel = entry
-        add = self.pops.add
-        matched = [0]
-
-        def emit(valu, slots):
-            matched[0] += 1
-            value = value_fn(valu, slots, instance)
-            key = head_key(valu)
-            if key in contrib:
-                contrib[key] = add(contrib[key], value)
-            else:
-                contrib[key] = value
-
-        kernel.execute(guards, emit)
-        value_fn.flush(self.stats.join)
-        self.stats.valuations += matched[0]
-        self.stats.products += matched[0]
+        matched = self._batched_rule(idx).run(guards, instance, contrib)
+        self.stats.valuations += matched
+        self.stats.products += matched
         return contrib
 
     def ico(self, instance: Instance) -> Instance:
@@ -504,7 +436,7 @@ class NaiveEvaluator:
             if poll is not None:
                 poll()
             bucket = acc.setdefault(rule.head_relation, {})
-            if self.compiled:
+            if self.batched:
                 # Delta-driven activation: a body whose input relations
                 # (IDB atoms and Boolean condition stores) were all
                 # untouched since its last evaluation — their version
@@ -524,7 +456,7 @@ class NaiveEvaluator:
                         bool_versions=self._bool_versions,
                         stats=self.stats.join,
                     )
-                    contrib = self._apply_compiled(idx, instance)
+                    contrib = self._apply_batched(idx, instance)
                     self._contributions[idx] = (versions_now, contrib)
                 if bucket:
                     for key, value in contrib.items():

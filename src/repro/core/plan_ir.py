@@ -1,17 +1,12 @@
 """Backend-neutral Plan IR: one ``BodyPlanIR`` per ordered (rule, body).
 
-Until this module existed, the *join plan* of a body — which guards
-probe in which order, on which masks, with which pushed-down filters,
-equality bindings, fallback loops and value-carrying slots — lived only
-implicitly: the planner (:mod:`repro.core.planner`) produced a
-:class:`~repro.core.planner.JoinPlan` of live objects (guards bound to
-concrete :class:`~repro.core.indexes.KeyIndex` instances), the pushdown
-layer (:mod:`repro.core.pushdown`) attached its schedule to it, and
-every executor re-derived the parts it needed: the interpreted pipeline
-walked the ``JoinPlan`` directly, while the closure kernels
-(:mod:`repro.core.kernels`) re-extracted bind/dup positions into their
-private ``_StepSpec``/``_FallbackSpec`` shapes.  Any new backend had to
-fork that extraction again.
+The *join plan* of a body — which guards probe in which order, on which
+masks, with which pushed-down filters, equality bindings, fallback
+loops and value-carrying slots — comes out of the planner
+(:mod:`repro.core.planner`) as a :class:`~repro.core.planner.JoinPlan`
+of live objects (guards bound to concrete
+:class:`~repro.core.indexes.KeyIndex` instances), with the pushdown
+layer's (:mod:`repro.core.pushdown`) schedule attached.
 
 This module makes the plan an explicit, frozen, **backend-neutral**
 value:
@@ -38,14 +33,14 @@ plan lives* (an inspectable value shared by every backend), not *what*
 is planned.  Consumers:
 
 * the interpreted pipeline (:func:`repro.core.planner.execute_ir`, via
-  ``enumerate_matches``) walks the IR with generator semantics;
-* the closure kernels (:func:`repro.core.kernels.compile_kernel_ir`)
-  compile each IR node into a nested-closure pipeline;
-* the source-codegen backend (:mod:`repro.core.codegen`) emits one flat
-  Python function per IR and ``compile()``-s it.
+  ``enumerate_matches``) walks the IR with generator semantics — the
+  differential oracle;
+* the batched executor (:mod:`repro.core.batched`) runs each IR node
+  over a whole batch of candidate rows at once — the production path.
 
-All three enumerate the same valuation stream by construction — the
-differential test suites check the fixpoints byte-for-byte.
+Both enumerate the same valuation stream in the same order by
+construction — the differential test suites check the fixpoints
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -115,8 +110,8 @@ class BodyPlanIR:
     (``variables``, ``n_slots`` value slots, whether fallback/binding
     checks need the domain *set*).  Index objects, store snapshots and
     semiring operations are deliberately absent — they are the
-    backend's business, resolved at execution (interpreted), closure
-    compile (kernels) or source generation (codegen) time.
+    backend's business, resolved at execution (interpreted) or kernel
+    build (batched) time.
     """
 
     steps: Tuple[ProbeStepIR, ...]

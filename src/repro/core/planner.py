@@ -651,7 +651,7 @@ def execute_ir(
     ``indexes`` (aligned with ``guards``) supplies each step's index;
     entries of ``None`` — and a ``None`` sequence — fall back to the
     step guard's own ``index`` attribute, or an ephemeral index over
-    its keys (the same resolution the compiled backends perform per
+    its keys (the same resolution the batched executor performs per
     invocation).
     """
     steps = ir.steps

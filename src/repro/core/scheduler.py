@@ -272,7 +272,7 @@ def scheduled_fixpoint(
         total_heads: Forwarded to the per-stratum evaluators (``None``
             keeps the per-POPS default).
         engine: Join/evaluation pipeline for the per-stratum evaluators
-            (``"auto"`` → compiled kernels on indexed plans).
+            (``"auto"`` → batched kernels on indexed plans).
         parallel: Evaluate **independent** components of the
             condensation concurrently (see :func:`_parallel_schedule`);
             results and reports keep the deterministic schedule order.

@@ -28,17 +28,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..semirings.base import FunctionRegistry, Value
 from .ast import Constant, Variable, eval_term
+from .batched import build_batched_rule_kernel
 from .guardrails import Budget, BudgetExceeded, PartialResult, attach_partial
 from .indexes import IndexManager, KeyIndex
 from .instance import Database, Instance, Key
-from .kernels import (
-    KernelCache,
-    VariantValue,
-    compile_kernel,
-    compile_key,
-    resolve_engine_mode,
-)
+from .kernels import KernelCache, resolve_engine_mode
 from .naive import EvalStats, EvaluationResult, NaiveEvaluator
+from .plan_ir import build_body_plan
 from .rules import FuncFactor, Program, RelAtom, Rule, SumProduct, factor_atoms
 from .valuations import (
     FactorEvaluator,
@@ -75,7 +71,7 @@ class SemiNaiveEvaluator:
         scheduler exactly as in
         :class:`~repro.core.naive.NaiveEvaluator`: pinned whole-program
         domain, shared counters, shared index cache (so frozen-layer
-        indexes survive across strata).  ``engine`` selects compiled
+        indexes survive across strata).  ``engine`` selects batched
         kernels vs the interpreted pipeline, as there.
         """
         self.program = program
@@ -91,9 +87,9 @@ class SemiNaiveEvaluator:
         self.budget = budget
         self._poll = budget.wall_hook() if budget is not None else None
         self.plan = plan
-        self.engine = engine
-        self.mode = resolve_engine_mode(engine, plan)
-        self.compiled = self.mode != "interpreted"
+        self.batched = resolve_engine_mode(engine, plan) == "batched"
+        #: The resolved engine, passed on to the bootstrap evaluator.
+        self.engine = "batched" if self.batched else "interpreted"
         self.idb_names = program.idb_names()
         self.stats = stats if stats is not None else EvalStats()
         self.evaluator = FactorEvaluator(
@@ -117,16 +113,16 @@ class SemiNaiveEvaluator:
         #: that preserves it can be skipped and ``new`` merged in place.
         self._linear = program.is_linear()
         self._kernels = KernelCache(stats=self.stats.join)
-        #: Compiled-engine guard cache: (plan, j) -> (guards, delta
+        #: Batched-engine guard cache: (plan, j) -> (guards, delta
         #: guards).  Guard lists are structurally iteration-invariant;
         #: only the delta occurrence's index changes per iteration, so
-        #: the compiled path re-points exactly that index instead of
+        #: the batched path re-points exactly that index instead of
         #: rebuilding every Guard (and re-validating every static
         #: index) per variant per iteration.
         self._variant_guard_cache: Dict[
             Tuple[int, int], Tuple[List[Guard], List[Guard]]
         ] = {}
-        #: Compiled path: relation -> (step, delta KeyIndex) — one
+        #: Batched path: relation -> (step, delta KeyIndex) — one
         #: direct build per relation per iteration, shared by every
         #: variant whose delta occurrence reads that relation.
         self._delta_indexes: Dict[str, Tuple[int, KeyIndex]] = {}
@@ -276,7 +272,7 @@ class SemiNaiveEvaluator:
                 )
         return guards
 
-    def _compiled_variant_guards(
+    def _batched_variant_guards(
         self,
         p_idx: int,
         j: int,
@@ -393,7 +389,7 @@ class SemiNaiveEvaluator:
         self.stats.products += 1
         return acc
 
-    def _compiled_variant(
+    def _batched_variant(
         self,
         p_idx: int,
         j: int,
@@ -403,80 +399,44 @@ class SemiNaiveEvaluator:
         idb_positions: List[int],
         extra_conjuncts,
     ):
-        """The cached compiled form of one differential variant.
+        """The cached batched kernel of one differential variant.
 
-        Compiled from the first iteration's guards; later iterations
-        pass structurally identical guard lists (same construction) so
-        only the index bindings differ — resolved per invocation.
-        ``mode="closures"`` caches the (kernel, value fn, head
-        extractor) tuple; ``mode="codegen"`` caches one generated flat
-        function with the Eq. 64 store routing compiled into its factor
-        expressions.
+        Built from the first iteration's guards; later iterations pass
+        structurally identical guard lists (same construction) so only
+        the index bindings differ — resolved per invocation.  The Eq. 64
+        store routing is compiled into the kernel's factor columns.
         """
 
         def build():
             carried = frozenset(
                 g.slot for g in guards if g.carries_value and g.slot is not None
             )
-            if self.mode in ("codegen", "batched"):
-                if self.mode == "batched":
-                    from .batched import (
-                        build_batched_rule_kernel as generate_rule_kernel,
-                    )
-                else:
-                    from .codegen import generate_rule_kernel
-                from .plan_ir import build_body_plan
-
-                ir, _indexes = build_body_plan(
-                    guards,
-                    variables=body.enumeration_order(),
-                    condition=body.condition,
-                    extra_conjuncts=extra_conjuncts,
-                    order=plan_ordering(self.plan),
-                    stats=self.stats.join,
-                    n_slots=len(body.factors),
-                )
-                generated = generate_rule_kernel(
-                    ir,
-                    body,
-                    rule.head_args,
-                    self.pops,
-                    self.database,
-                    self.functions,
-                    self.idb_names,
-                    self.database.bool_holds,
-                    carried,
-                    self.domain,
-                    stats=self.stats.join,
-                    variant=(tuple(idb_positions), j),
-                    label=f"{rule.head_relation}.{p_idx}.d{j}",
-                )
-                generated.install_poll(self._poll)
-                return generated
-            kernel = compile_kernel(
+            ir, _indexes = build_body_plan(
                 guards,
-                body.enumeration_order(),
-                self.domain,
-                body.condition,
-                self.database.bool_holds,
+                variables=body.enumeration_order(),
+                condition=body.condition,
                 extra_conjuncts=extra_conjuncts,
                 order=plan_ordering(self.plan),
                 stats=self.stats.join,
                 n_slots=len(body.factors),
             )
-            kernel.install_poll(self._poll)
-            value_fn = VariantValue(
+            kernel = build_batched_rule_kernel(
+                ir,
                 body,
-                idb_positions,
-                j,
+                rule.head_args,
                 self.pops,
                 self.database,
                 self.functions,
+                self.idb_names,
                 self.database.bool_holds,
                 carried,
+                self.domain,
+                stats=self.stats.join,
+                variant=(tuple(idb_positions), j),
+                label=f"{rule.head_relation}.{p_idx}.d{j}",
             )
-            head_key = compile_key(rule.head_args)
-            return kernel, value_fn, head_key, rule.head_relation
+            kernel.install_poll(self._poll)
+            return kernel
 
         return self._kernels.get((p_idx, j), build)
 
@@ -508,7 +468,7 @@ class SemiNaiveEvaluator:
             for j in range(len(idb_positions)):
                 if poll is not None:
                     poll()
-                if self.compiled:
+                if self.batched:
                     atom = body.factors[idb_positions[j]]
                     if not delta.support(atom.relation) and all(
                         isinstance(a, (Variable, Constant))
@@ -523,54 +483,22 @@ class SemiNaiveEvaluator:
                         self.stats.rules_skipped += 1
                         continue
                 self.stats.rule_applications += 1
-                if self.compiled:
-                    guards = self._compiled_variant_guards(
+                bucket = contributions.setdefault(rule.head_relation, {})
+                if self.batched:
+                    guards = self._batched_variant_guards(
                         p_idx, j, body, idb_positions, delta, new, old
                     )
-                else:
-                    guards = self._variant_guards(
-                        body, idb_positions, j, delta, new, old
-                    )
-                if self.compiled:
-                    entry = self._compiled_variant(
+                    kernel = self._batched_variant(
                         p_idx, j, guards, rule, body,
                         idb_positions, extra_conjuncts,
                     )
-                    if self.mode in ("codegen", "batched"):
-                        bucket = contributions.setdefault(
-                            rule.head_relation, {}
-                        )
-                        matched_n = entry.run(
-                            guards, (new, delta, old), bucket
-                        )
-                        self.stats.valuations += matched_n
-                        self.stats.products += matched_n
-                        continue
-                    kernel, value_fn, head_key, head_rel = entry
-                    stores = (new, delta, old)
-                    matched = [0]
-                    bucket = contributions.setdefault(head_rel, {})
-
-                    def emit(
-                        valu, slots,
-                        _value=value_fn, _head=head_key,
-                        _bucket=bucket, _stores=stores,
-                        _n=matched,
-                    ):
-                        _n[0] += 1
-                        value = _value(valu, slots, _stores)
-                        key = _head(valu)
-                        if key in _bucket:
-                            _bucket[key] = add(_bucket[key], value)
-                        else:
-                            _bucket[key] = value
-
-                    kernel.execute(guards, emit)
-                    value_fn.flush(self.stats.join)
-                    self.stats.valuations += matched[0]
-                    self.stats.products += matched[0]
+                    matched = kernel.run(guards, (new, delta, old), bucket)
+                    self.stats.valuations += matched
+                    self.stats.products += matched
                     continue
-                bucket = contributions.setdefault(rule.head_relation, {})
+                guards = self._variant_guards(
+                    body, idb_positions, j, delta, new, old
+                )
                 for valuation, slot_values in enumerate_matches(
                     body.enumeration_order(),
                     guards,
@@ -590,9 +518,7 @@ class SemiNaiveEvaluator:
                         eval_term(t, valuation) for t in rule.head_args
                     )
                     if head_key in bucket:
-                        bucket[head_key] = self.pops.add(
-                            bucket[head_key], value
-                        )
+                        bucket[head_key] = add(bucket[head_key], value)
                     else:
                         bucket[head_key] = value
         return contributions

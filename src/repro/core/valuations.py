@@ -186,8 +186,8 @@ def enumerate_matches(
 
     if is_indexed_plan(plan):
         # Plan once into the backend-neutral IR, then interpret it —
-        # the same IR the closure kernels and the codegen backend
-        # compile (see :mod:`repro.core.plan_ir`).
+        # the same IR the batched executor runs (see
+        # :mod:`repro.core.plan_ir`).
         from .plan_ir import build_body_plan
         from .planner import execute_ir
 

@@ -155,6 +155,8 @@ class TestCli:
                 "--query", "Nope(a,?)",
             ])
 
+    # compiled/codegen are deprecated aliases of batched (the CLI
+    # always shows their warning on stderr).
     @pytest.mark.parametrize("engine", ["compiled", "codegen", "interpreted"])
     def test_run_engine_flag(self, tc_files, capsys, engine):
         program, edb = tc_files
@@ -186,8 +188,9 @@ class TestCli:
         assert "T(a, c) = 4.0" in capsys.readouterr().out
 
     def test_run_engine_plan_conflict_rejected(self, tc_files):
-        # engine=codegen needs an indexed plan; the engine layer's
-        # validation surfaces as a clean CLI error, not a traceback.
+        # engine=codegen (a deprecated alias of batched) needs an
+        # indexed plan; the engine layer's validation surfaces as a
+        # clean CLI error, not a traceback.
         program, edb = tc_files
         with pytest.raises(SystemExit, match="indexed plan"):
             main([
@@ -334,6 +337,26 @@ class TestValidListsDeduped:
         by_dest = {a.dest: a for a in run_parser._actions}
         assert tuple(by_dest["schedule"].choices) == VALID_SCHEDULES
         assert tuple(by_dest["engine"].choices) == tuple(VALID_ENGINES)
+        serve_parser = parser._subparsers._group_actions[0].choices["serve"]
+        serve_engine = next(
+            a for a in serve_parser._actions if a.dest == "engine"
+        )
+        assert tuple(serve_engine.choices) == tuple(VALID_ENGINES)
+
+    def test_valid_engines_single_source(self):
+        from repro.core import VALID_ENGINES
+        from repro.core.kernels import (
+            DEPRECATED_ENGINES,
+            VALID_ENGINES as kernels_engines,
+        )
+
+        assert VALID_ENGINES is kernels_engines
+        # Two executors plus "auto"; the retired names are warning
+        # aliases of batched, accepted for one release.
+        assert VALID_ENGINES == (
+            "auto", "interpreted", "batched", "compiled", "codegen"
+        )
+        assert DEPRECATED_ENGINES == ("compiled", "codegen")
 
 
 class TestServeCli:

@@ -1,19 +1,19 @@
-"""The batched columnar kernel backend (``engine="batched"``).
+"""The batched columnar executor (``engine="batched"``, the default).
 
 Covers the whole-batch pipeline end to end:
 
-* batched == codegen == compiled == interpreted fixpoints —
-  *byte-identical*, not just ``⊕``-equal — on the paper's workloads
-  and on hypothesis-generated programs with cyclic, mutually recursive
-  and conditional bodies, across Boolean / tropical / THREE /
-  lifted-reals value spaces, for both fixpoint engines and all
-  schedules;
-* exact join-counter parity with the codegen backend (same Plan IR,
-  same per-candidate event totals), modulo the counters that describe
-  engine shape rather than work done (``batch_joins``/``batch_rows``/
-  ``vector_filter_prunes`` exist only here, ``codegen_kernels`` only
-  there, and ``index_builds`` may be *lower* because mask tables build
-  lazily);
+* batched == interpreted fixpoints — *byte-identical*, not just
+  ``⊕``-equal — on the paper's workloads and on hypothesis-generated
+  programs with cyclic, mutually recursive and conditional bodies,
+  across Boolean / tropical / THREE / lifted-reals value spaces, for
+  both fixpoint engines and all schedules;
+* pinned join-work counters: batched does not match the interpreted
+  oracle counter-for-counter (it probes where interpreted scans, and
+  skips unchanged rule bodies), so its counters on fixed inputs are
+  pinned as literals — the values the retired closure and codegen
+  executors reported too;
+* counter parity inside the executor: the fused last-step reducer,
+  the unfused pipeline and the numpy leaf count the same events;
 * the batch counters themselves, kernel caching, grounded/hybrid
   wiring, and the centralized ``engine=`` validation;
 * the numpy fast path (grouped ⊕-reduction) and its clean stdlib
@@ -57,16 +57,14 @@ from repro.semirings.base import FunctionRegistry
 ENGINE = os.environ.get("DATALOGO_ENGINE", "batched")
 
 #: Counters that describe engine *shape* rather than join work — every
-#: other counter must agree exactly between batched and codegen.
-#: ``batch_*``/``vector_filter_prunes`` exist only here and
-#: ``codegen_kernels`` only there; index/cache bookkeeping differs
-#: because mask tables build lazily per delta batch.
+#: other counter must agree exactly between the fused and unfused
+#: batched pipelines.  Index/cache bookkeeping differs because mask
+#: tables build lazily per delta batch.
 SHAPE_COUNTERS = frozenset(
     {
         "batch_joins",
         "batch_rows",
         "vector_filter_prunes",
-        "codegen_kernels",
         "index_builds",
         "index_hits",
         "index_reuses",
@@ -109,7 +107,7 @@ def _weighted_db(n=12, p=0.3, seed=7):
 
 
 # ---------------------------------------------------------------------------
-# batched == codegen == compiled == interpreted, byte for byte.
+# batched == interpreted, byte for byte.
 # ---------------------------------------------------------------------------
 
 
@@ -123,22 +121,21 @@ class TestBatchedDifferentials:
                 programs.apsp(), db, method=method, schedule=schedule,
                 engine=engine,
             )
-            for engine in ("interpreted", "compiled", "codegen", ENGINE)
+            for engine in ("interpreted", ENGINE)
         }
-        subject = results[ENGINE]
-        for other in ("interpreted", "compiled", "codegen"):
-            assert subject.instance.equals(results[other].instance)
-            assert _bytes_of(subject.instance) == _bytes_of(
-                results[other].instance
-            )
-            assert subject.steps == results[other].steps
+        subject, oracle = results[ENGINE], results["interpreted"]
+        assert subject.instance.equals(oracle.instance)
+        assert _bytes_of(subject.instance) == _bytes_of(oracle.instance)
+        assert subject.steps == oracle.steps
 
     @pytest.mark.parametrize("method", ["naive", "seminaive"])
     def test_sssp_line(self, method):
         db = _line_db(12)
         subject = solve(programs.sssp(0), db, method=method, engine=ENGINE)
-        codegen = solve(programs.sssp(0), db, method=method, engine="codegen")
-        assert _bytes_of(subject.instance) == _bytes_of(codegen.instance)
+        oracle = solve(
+            programs.sssp(0), db, method=method, engine="interpreted"
+        )
+        assert _bytes_of(subject.instance) == _bytes_of(oracle.instance)
 
     @pytest.mark.parametrize("method", ["naive", "seminaive"])
     def test_layered_sssp_mutual_recursion(self, method):
@@ -165,8 +162,8 @@ class TestBatchedDifferentials:
         prog = programs.transitive_closure()
         for method in ("naive", "seminaive"):
             subject = solve(prog, db, method=method, engine=ENGINE)
-            codegen = solve(prog, db, method=method, engine="codegen")
-            assert _bytes_of(subject.instance) == _bytes_of(codegen.instance)
+            oracle = solve(prog, db, method=method, engine="interpreted")
+            assert _bytes_of(subject.instance) == _bytes_of(oracle.instance)
 
     def test_bill_of_material_lifted(self):
         edges, costs = workloads.fig_2b_bom()
@@ -191,8 +188,8 @@ class TestBatchedDifferentials:
         )
         prog = programs.shortest_length_from_bool()
         subject = solve(prog, db, engine=ENGINE, functions=registry)
-        codegen = solve(prog, db, engine="codegen", functions=registry)
-        assert _bytes_of(subject.instance) == _bytes_of(codegen.instance)
+        oracle = solve(prog, db, engine="interpreted", functions=registry)
+        assert _bytes_of(subject.instance) == _bytes_of(oracle.instance)
 
     def test_prefix_sum_conditions(self):
         # Comparison-laden bodies: pushdown filters become vectorized
@@ -206,13 +203,13 @@ class TestBatchedDifferentials:
         )
         prog = programs.prefix_sum(length=n)
         subject = solve(prog, db, engine=ENGINE)
-        codegen = solve(prog, db, engine="codegen")
-        assert _bytes_of(subject.instance) == _bytes_of(codegen.instance)
+        oracle = solve(prog, db, engine="interpreted")
+        assert _bytes_of(subject.instance) == _bytes_of(oracle.instance)
 
     def test_total_heads_three(self):
         # THREE is not naturally ordered: heads totalize over the whole
         # ground-atom space; batched accumulation must interact with
-        # the pre-seeded zeros exactly like the other backends.
+        # the pre-seeded zeros exactly like the interpreted oracle.
         rules = [
             Rule(
                 "R",
@@ -241,33 +238,63 @@ class TestBatchedDifferentials:
 
 
 # ---------------------------------------------------------------------------
-# Exact counter parity with codegen, and the batch counters themselves.
+# Pinned join-work counters, and the batch counters themselves.
 # ---------------------------------------------------------------------------
+
+#: Batched join-work counters on fixed inputs (monolithic schedule).
+#: The retired closure and codegen executors reported exactly these
+#: values too; the interpreted oracle does not (APSP naive: 235 probes
+#: against 606, and no skipped rules), so parity is pinned here instead
+#: of re-derived.
+PINNED_COUNTERS = {
+    "apsp-naive": {
+        "iterations": 6, "rule_applications": 7, "rules_skipped": 5,
+        "keys_examined": 3042, "probes": 606, "probed_keys": 2389,
+        "scans": 7, "scanned_keys": 653, "valuations": 2436,
+        "products": 2436, "value_probe_hits": 4825, "factor_lookups": 0,
+        "pushdown_prunes": 0, "fallback_candidates": 0,
+        "equality_bindings": 0, "arity_skips": 0,
+    },
+    "apsp-seminaive": {
+        "iterations": 6, "rule_applications": 7, "rules_skipped": 0,
+        "keys_examined": 1016, "probes": 196, "probed_keys": 773,
+        "scans": 7, "scanned_keys": 243, "valuations": 820,
+        "products": 820, "value_probe_hits": 1593, "factor_lookups": 0,
+        "pushdown_prunes": 0, "fallback_candidates": 0,
+        "equality_bindings": 0, "arity_skips": 0,
+    },
+    "sssp-naive": {
+        "iterations": 13, "rule_applications": 14, "rules_skipped": 12,
+        "keys_examined": 155, "probes": 78, "probed_keys": 77,
+        "scans": 13, "scanned_keys": 78, "valuations": 78,
+        "products": 78, "value_probe_hits": 154, "factor_lookups": 0,
+        "pushdown_prunes": 0, "fallback_candidates": 0,
+        "equality_bindings": 1, "arity_skips": 0,
+    },
+}
+
+
+def _assert_pinned(result, case: str) -> None:
+    expected = PINNED_COUNTERS[case]
+    assert {name: result.stats[name] for name in expected} == expected
 
 
 class TestBatchedCounters:
     @pytest.mark.parametrize("method", ["naive", "seminaive"])
     def test_counter_parity_with_codegen(self, method):
-        db = _weighted_db()
-        subject = solve(
-            programs.apsp(), db, method=method, schedule="monolithic",
-            engine="batched",
+        # The pinned values are the counters codegen reported here.
+        result = solve(
+            programs.apsp(), _weighted_db(), method=method,
+            schedule="monolithic", engine="batched",
         )
-        codegen = solve(
-            programs.apsp(), db, method=method, schedule="monolithic",
-            engine="codegen",
-        )
-        assert _counters(subject) == _counters(codegen)
+        _assert_pinned(result, f"apsp-{method}")
 
     def test_counter_parity_sssp(self):
-        db = _line_db(12)
-        subject = solve(
-            programs.sssp(0), db, schedule="monolithic", engine="batched"
+        result = solve(
+            programs.sssp(0), _line_db(12), schedule="monolithic",
+            engine="batched",
         )
-        codegen = solve(
-            programs.sssp(0), db, schedule="monolithic", engine="codegen"
-        )
-        assert _counters(subject) == _counters(codegen)
+        _assert_pinned(result, "sssp-naive")
 
     def test_batch_counters_populated(self):
         db = _weighted_db()
@@ -277,9 +304,7 @@ class TestBatchedCounters:
         assert result.stats["batch_rows"] > 0
         # One whole-batch join invocation covers many probed rows.
         assert result.stats["batch_rows"] > result.stats["batch_joins"]
-        # The batched backend never generates source...
-        assert result.stats["codegen_kernels"] == 0
-        # ...but caches its kernels across iterations like codegen.
+        # Kernels are built once and reused across iterations.
         assert result.stats["kernel_cache_hits"] > 0
 
     def test_vectorized_filter_prunes(self):
@@ -307,9 +332,11 @@ class TestBatchedCounters:
         )
 
     def test_other_engines_have_no_batch_counters(self):
+        # The interpreted oracle, explicitly or as the plan="naive"
+        # resolution of engine="auto", never runs a batch.
         db = _line_db(8)
-        for engine in ("compiled", "codegen", "interpreted"):
-            result = solve(programs.sssp(0), db, engine=engine)
+        for engine, plan in (("interpreted", "indexed"), ("auto", "naive")):
+            result = solve(programs.sssp(0), db, engine=engine, plan=plan)
             assert result.stats["batch_joins"] == 0
             assert result.stats["batch_rows"] == 0
 
@@ -427,20 +454,22 @@ class TestNumpyFastPath:
 
     def test_numpy_reduce_byte_identical(self, monkeypatch):
         # Force the grouped ufunc reduction onto every (unfused) leaf
-        # and check the fixpoint stays byte-identical to codegen.
+        # and check the fixpoint stays byte-identical to the oracle,
+        # with the same join counters as the default fused pipeline.
         if batched_mod._np is None:
             pytest.skip("numpy not installed")
+        fused = self._solve_apsp()
         monkeypatch.setattr(batched_mod, "_NUMPY_MIN_ROWS", 1)
         monkeypatch.setattr(
             BatchedKernel, "_build_fused", lambda self, ir, pre: None
         )
-        db = _weighted_db(14, 0.35, seed=11)
-        subject = solve(programs.apsp(), db, method="seminaive",
-                        engine="batched")
-        codegen = solve(programs.apsp(), db, method="seminaive",
-                        engine="codegen")
-        assert _bytes_of(subject.instance) == _bytes_of(codegen.instance)
-        assert _counters(subject) == _counters(codegen)
+        subject = self._solve_apsp()
+        oracle = solve(
+            programs.apsp(), _weighted_db(14, 0.35, seed=11),
+            method="seminaive", engine="interpreted",
+        )
+        assert _bytes_of(subject.instance) == _bytes_of(oracle.instance)
+        assert _counters(subject) == _counters(fused)
 
     def test_rich_values_reject_ufuncs(self, monkeypatch):
         # Lifted reals wrap floats in tagged values: the per-column
@@ -460,8 +489,7 @@ class TestNumpyFastPath:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: batched == codegen == compiled == interpreted over random
-# programs (generators shared in spirit with test_codegen).
+# Hypothesis: batched == interpreted over random programs.
 # ---------------------------------------------------------------------------
 
 _PREDS = ["P0", "P1", "P2", "P3"]
@@ -553,9 +581,8 @@ class TestBatchedInvariance:
             )
             subject = solve(prog, db, engine=ENGINE, max_iterations=400)
             assert subject.instance.equals(interpreted.instance), pops.name
-            codegen = solve(prog, db, engine="codegen", max_iterations=400)
             assert _bytes_of(subject.instance) == _bytes_of(
-                codegen.instance
+                interpreted.instance
             ), pops.name
             if getattr(pops, "supports_minus", False):
                 semi = solve(
@@ -579,15 +606,26 @@ class TestBatchedInvariance:
     @settings(max_examples=20, deadline=None)
     @given(_program_spec)
     def test_counter_parity_random_programs(self, spec):
+        # The fused last-step reducer and the unfused pipeline with the
+        # numpy leaf forced on count the same join events and reach the
+        # same bytes as the oracle.
         prog = _build_program(spec, acyclic=False)
         db = _database(TROP, [1.0, 2.0, 4.0])
-        subject = solve(
-            prog, db, schedule="monolithic", engine="batched",
-            max_iterations=400,
-        )
-        codegen = solve(
-            prog, db, schedule="monolithic", engine="codegen",
-            max_iterations=400,
-        )
-        assert _bytes_of(subject.instance) == _bytes_of(codegen.instance)
-        assert _counters(subject) == _counters(codegen)
+
+        def run(engine="batched"):
+            return solve(
+                prog, db, schedule="monolithic", engine=engine,
+                max_iterations=400,
+            )
+
+        fused = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(batched_mod, "_NUMPY_MIN_ROWS", 1)
+            mp.setattr(
+                BatchedKernel, "_build_fused", lambda self, ir, pre: None
+            )
+            unfused = run()
+        oracle = run("interpreted")
+        assert _bytes_of(fused.instance) == _bytes_of(oracle.instance)
+        assert _bytes_of(unfused.instance) == _bytes_of(oracle.instance)
+        assert _counters(unfused) == _counters(fused)

@@ -1,34 +1,36 @@
-"""The source-codegen kernel backend (``engine="codegen"``).
+"""The deprecated engine aliases ``"compiled"`` and ``"codegen"``.
 
-Covers the codegen pipeline end to end:
+Both retired executors were deleted; their names stay accepted for one
+release and resolve to ``engine="batched"`` with a
+:class:`DeprecationWarning`.  This suite checks that:
 
-* codegen == compiled == interpreted fixpoints on the paper's
-  workloads and on hypothesis-generated programs with cyclic, mutually
-  recursive and conditional bodies, across classic-Boolean / tropical /
-  THREE / lifted-reals value spaces, for both fixpoint engines and all
-  schedules;
-* join-counter parity: the generated kernels count every probe, scan,
-  prune and fallback event exactly like the closure kernels (same Plan
-  IR, same event order);
-* source caching: one generation + ``compile()`` per (rule, body[,
-  variant]) per evaluator (``JoinStats.codegen_kernels``), every later
-  fixpoint iteration a ``kernel_cache_hits`` reuse — no recompiles
-  across iterations;
-* the debugging hook: generated source is retained on the kernel and
-  registered with :mod:`linecache`;
-* grounded/hybrid wiring and the ``engine=`` knob's validation.
+* each alias warns once per ``solve()`` call, names ``batched``, and
+  returns a fixpoint whose ``fingerprint()`` equals the batched one —
+  through the library, ``datalogo run --engine`` and ``datalogo serve
+  --engine``;
+* the alias reaches every evaluator the ``engine=`` knob does — naïve,
+  semi-naïve, every schedule, grounding, hybrid, direct evaluator
+  construction — and computes the interpreted oracle's fixpoint there,
+  including on hypothesis-generated programs;
+* the alias keeps batched's kernel caching (one build per plan) and its
+  ``plan="naive"`` rejection.
 """
 
 from __future__ import annotations
 
-import linecache
-import os
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import programs, workloads
-from repro.core import Database, HybridEvaluator, ThresholdRule, solve
+from repro.core import (
+    Database,
+    HybridEvaluator,
+    ThresholdRule,
+    fingerprint,
+    solve,
+)
 from repro.core.ast import Compare, Constant, terms, var
 from repro.core.grounding import ground_program
 from repro.core.naive import NaiveEvaluator
@@ -39,15 +41,14 @@ from repro.core.rules import (
     Rule,
     SumProduct,
 )
+from repro.core.seminaive import SemiNaiveEvaluator
 from repro.semirings import BOOL, LIFTED_REAL, REAL_PLUS, THREE, TROP
 
-#: The subject engine leads the differential tuple; the CI engine
-#: matrix overrides it via ``DATALOGO_ENGINE`` to re-run the whole
-#: differential suite with each backend as the subject.
-_SUBJECT = os.environ.get("DATALOGO_ENGINE", "codegen")
-ENGINES = tuple(
-    dict.fromkeys((_SUBJECT, "codegen", "compiled", "interpreted"))
-)
+#: The tests run an alias on purpose; TestDeprecatedAliases asserts the
+#: warning itself (recording it overrides this filter).
+pytestmark = pytest.mark.filterwarnings("ignore:engine=:DeprecationWarning")
+
+ALIASES = ("compiled", "codegen")
 
 
 def _line_db(n=10, pops=TROP):
@@ -55,7 +56,64 @@ def _line_db(n=10, pops=TROP):
 
 
 # ---------------------------------------------------------------------------
-# codegen == compiled == interpreted on the paper's workloads.
+# Each alias warns once and computes the batched fixpoint.
+# ---------------------------------------------------------------------------
+
+
+def _tc_files(tmp_path):
+    program = tmp_path / "tc.dl"
+    program.write_text("T(X, Y) :- E(X, Y) | T(X, Z) * E(Z, Y).\n")
+    edb = tmp_path / "edb.json"
+    edb.write_text(
+        '{"relations": {"E": [[["a", "b"], 1.0], [["b", "c"], 3.0]]}}'
+    )
+    return str(program), str(edb)
+
+
+class TestDeprecatedAliases:
+    @pytest.mark.parametrize("alias", ALIASES)
+    @pytest.mark.parametrize("method", ["naive", "seminaive"])
+    def test_alias_warns_and_matches_batched(self, alias, method):
+        db = _line_db(12)
+        batched = solve(programs.sssp(0), db, method=method, engine="batched")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = solve(programs.sssp(0), db, method=method, engine=alias)
+        deprecations = [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ]
+        assert len(deprecations) == 1
+        assert "batched" in str(deprecations[0].message)
+        assert alias in str(deprecations[0].message)
+        assert fingerprint(result.instance) == fingerprint(batched.instance)
+
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_cli_run_alias(self, alias, tmp_path, capsys):
+        from repro.cli import main
+
+        program, edb = _tc_files(tmp_path)
+        args = ["run", program, "--pops", "trop", "--edb", edb,
+                "--output", "json"]
+        assert main(args + ["--engine", "batched"]) == 0
+        expected = capsys.readouterr().out
+        with pytest.warns(DeprecationWarning, match="batched"):
+            assert main(args + ["--engine", alias]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_cli_serve_accepts_alias(self, alias):
+        from repro.cli import _engine_arg, build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "p.dl", "--pops", "trop", "--data-dir", "state",
+             "--engine", alias]
+        )
+        with pytest.warns(DeprecationWarning, match="batched"):
+            assert _engine_arg(args.engine) == "batched"
+
+
+# ---------------------------------------------------------------------------
+# The aliases reach every evaluator and compute the oracle's fixpoint.
 # ---------------------------------------------------------------------------
 
 
@@ -69,17 +127,12 @@ class TestCodegenDifferentials:
                 programs.sssp(0), db, method=method, schedule=schedule,
                 engine=engine,
             )
-            for engine in ENGINES
+            for engine in ALIASES + ("interpreted",)
         }
-        assert results["codegen"].instance.equals(
-            results["interpreted"].instance
-        )
-        assert results["codegen"].instance.equals(
-            results["compiled"].instance
-        )
-        assert results[_SUBJECT].instance.equals(
-            results["interpreted"].instance
-        )
+        for alias in ALIASES:
+            assert results[alias].instance.equals(
+                results["interpreted"].instance
+            )
 
     @pytest.mark.parametrize("method", ["naive", "seminaive"])
     def test_layered_sssp(self, method):
@@ -91,34 +144,13 @@ class TestCodegenDifferentials:
 
     def test_quadratic_tc_nonlinear_variants(self):
         # Two IDB occurrences per body: every delta-variant store
-        # assignment (new / delta / old) is compiled into source.
+        # assignment (new / delta / old) runs under the alias.
         dag = workloads.random_dag(10, 0.25, seed=8)
         db = Database(pops=BOOL, relations={"E": {e: True for e in dag}})
         prog = programs.quadratic_transitive_closure()
         codegen = solve(prog, db, method="seminaive", engine="codegen")
         interpreted = solve(prog, db, method="seminaive", engine="interpreted")
         assert codegen.instance.equals(interpreted.instance)
-
-    def test_join_counter_parity_with_closures(self):
-        # Same Plan IR, same event order: every join counter agrees
-        # with the closure backend, not just the fixpoint.
-        db = _line_db(12)
-        codegen = solve(
-            programs.sssp(0), db, schedule="monolithic", engine="codegen"
-        )
-        closures = solve(
-            programs.sssp(0), db, schedule="monolithic", engine="compiled"
-        )
-        assert codegen.instance.equals(closures.instance)
-        for counter in (
-            "probes", "probed_keys", "scans", "scanned_keys",
-            "arity_skips", "pushdown_prunes", "fallback_candidates",
-            "fallback_extensions", "equality_bindings", "keys_examined",
-            "value_probe_hits", "factor_lookups", "valuations",
-            "products", "rule_applications", "rules_skipped",
-            "kernel_cache_hits",
-        ):
-            assert codegen.stats[counter] == closures.stats[counter], counter
 
     def test_grounded_engine_knob(self):
         db = _line_db(6)
@@ -174,8 +206,8 @@ class TestCodegenDifferentials:
 
     def test_total_heads_three(self):
         # THREE is not naturally ordered: heads totalize over the whole
-        # ground-atom space; the generated accumulation must interact
-        # with the pre-seeded zeros exactly like the closure path.
+        # ground-atom space; a directly constructed evaluator resolves
+        # the alias too.
         rules = [
             Rule(
                 "R",
@@ -211,20 +243,20 @@ class TestCodegenDifferentials:
 
 
 # ---------------------------------------------------------------------------
-# Source caching and the debugging hook.
+# Kernel caching under the alias.
 # ---------------------------------------------------------------------------
 
 
 class TestCodegenCaching:
     def test_one_compile_per_body_across_iterations(self):
         # SSSP has two (rule, body) plans; the fixpoint runs ~n
-        # iterations.  Generated kernels must be built exactly once per
-        # plan and *reused* (cache hits), never regenerated mid-run.
-        db = _line_db(10)
-        result = solve(programs.sssp(0), db, schedule="monolithic",
-                       engine="codegen")
+        # iterations.  Kernels must be built exactly once per plan and
+        # *reused* (cache hits), never rebuilt mid-run.
+        evaluator = NaiveEvaluator(programs.sssp(0), _line_db(10),
+                                   engine="codegen")
+        result = evaluator.run()
         assert result.stats["iterations"] > 3
-        assert result.stats["codegen_kernels"] == 2
+        assert len(evaluator._kernels) == 2
         assert result.stats["kernel_cache_hits"] > 0
         assert (
             result.stats["kernel_cache_hits"]
@@ -233,40 +265,22 @@ class TestCodegenCaching:
         )
 
     def test_seminaive_one_compile_per_variant(self):
-        # Quadratic TC: one EDB body + one body with two IDB
-        # occurrences = two delta variants, plus the naive bootstrap's
-        # two body kernels.  Counted once each, reused every iteration.
+        # Quadratic TC: the body with two IDB occurrences has two delta
+        # variants (the EDB body drops out after the bootstrap), each
+        # built once and reused every iteration.
         dag = workloads.random_dag(10, 0.25, seed=8)
         db = Database(pops=BOOL, relations={"E": {e: True for e in dag}})
-        prog = programs.quadratic_transitive_closure()
-        result = solve(prog, db, method="seminaive", schedule="monolithic",
-                       engine="codegen")
+        evaluator = SemiNaiveEvaluator(
+            programs.quadratic_transitive_closure(), db, engine="codegen"
+        )
+        result = evaluator.run()
         assert result.stats["iterations"] > 2
-        assert result.stats["codegen_kernels"] == 4
+        assert len(evaluator._kernels) == 2
         assert result.stats["kernel_cache_hits"] > 0
-
-    def test_other_engines_never_generate_source(self):
-        db = _line_db(8)
-        for engine in ("compiled", "interpreted"):
-            result = solve(programs.sssp(0), db, engine=engine)
-            assert result.stats["codegen_kernels"] == 0
-
-    def test_source_retained_and_in_linecache(self):
-        db = _line_db(8)
-        evaluator = NaiveEvaluator(programs.sssp(0), db, engine="codegen")
-        kernel = evaluator._compiled_rule(1)
-        assert "def _kernel(" in kernel.source
-        assert "for " in kernel.source  # the flat join loop
-        # The debugging hook: linecache resolves the generated file, so
-        # tracebacks through generated kernels show real source lines.
-        first_line = linecache.getline(kernel.filename, 1)
-        assert first_line.startswith("def _kernel(")
-        # And the cache serves the same object back (no regeneration).
-        assert evaluator._compiled_rule(1) is kernel
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: codegen == compiled == interpreted over random programs.
+# Hypothesis: alias == interpreted over random programs.
 # ---------------------------------------------------------------------------
 
 _PREDS = ["P0", "P1", "P2", "P3"]
@@ -303,8 +317,8 @@ def _build_program(spec, acyclic: bool) -> Program:
                     )
                 )
             elif kind == "cond":
-                # A conditional body: the filter is inlined into the
-                # generated source as a native comparison.
+                # A conditional body: the filter becomes a vectorized
+                # boolean mask.
                 sum_products.append(
                     SumProduct(
                         (RelAtom("A", terms(["X"])),),
@@ -361,8 +375,6 @@ class TestCodegenInvariance:
             )
             codegen = solve(prog, db, engine="codegen", max_iterations=400)
             assert codegen.instance.equals(interpreted.instance), pops.name
-            compiled = solve(prog, db, engine="compiled", max_iterations=400)
-            assert codegen.instance.equals(compiled.instance), pops.name
             if getattr(pops, "supports_minus", False):
                 semi = solve(
                     prog,

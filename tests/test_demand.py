@@ -45,12 +45,15 @@ from repro.core.demand import (
 )
 from repro.semirings import BOOL, BOTTLENECK, LIFTED_REAL, NAT, TROP, VITERBI
 
-# The engine matrix: DATALOGO_ENGINE picks the CI subject; the rest of
-# the kernel engines always ride along (same idiom as test_codegen.py).
-_SUBJECT = os.environ.get("DATALOGO_ENGINE", "codegen")
+# The engine matrix: DATALOGO_ENGINE picks the CI subject; the other
+# engines always ride along, including the deprecated compiled/codegen
+# aliases of batched (their warnings are filtered below).
+_SUBJECT = os.environ.get("DATALOGO_ENGINE", "batched")
 ENGINES = tuple(
     dict.fromkeys((_SUBJECT, "interpreted", "compiled", "codegen", "batched"))
 )
+
+pytestmark = pytest.mark.filterwarnings("ignore:engine=:DeprecationWarning")
 
 NODES = ["a", "b", "c", "d", "e"]
 

@@ -1,12 +1,15 @@
-"""Compiled join kernels, delta-driven activation, parallel strata.
+"""The default engine: kernel caching, delta-driven activation, strata.
 
-Covers the compiled evaluation pipeline end to end:
+Covers the fixpoint machinery around the kernels, under the default
+``engine="auto"`` (which resolves to the batched executor on indexed
+plans) against the interpreted oracle:
 
-* compiled == interpreted fixpoints on the paper's workloads and on
+* auto == interpreted fixpoints on the paper's workloads and on
   hypothesis-generated programs with cyclic, mutually recursive and
   conditional bodies, across classic-Boolean / tropical / THREE /
-  lifted-reals value spaces, for both engines and all schedules;
-* kernel caching: one compile per (rule, body[, variant]) per
+  lifted-reals value spaces, for both fixpoint engines and all
+  schedules;
+* kernel caching: one build per (rule, body[, variant]) per
   evaluator, every later fixpoint iteration a cache hit
   (``JoinStats.kernel_cache_hits``);
 * delta-driven rule activation (``EvalStats.rules_skipped``): naive
@@ -15,7 +18,10 @@ Covers the compiled evaluation pipeline end to end:
   with identical fixpoints;
 * ``schedule="parallel"``: independent condensation branches evaluate
   concurrently with deterministic reports and identical fixpoints;
-* the ``engine=`` knob's validation and the grounded/hybrid wiring.
+* the ``engine=`` knob's validation and the grounded/linear/hybrid
+  wiring.
+
+(``Compiled`` in the class names is the kernel tier's historical name.)
 """
 
 from __future__ import annotations
@@ -38,15 +44,13 @@ from repro.core.rules import (
 from repro.core.scheduler import scheduled_fixpoint
 from repro.semirings import BOOL, LIFTED_REAL, REAL_PLUS, THREE, TROP
 
-ENGINES = ("compiled", "interpreted")
-
 
 def _line_db(n=10, pops=TROP):
     return Database(pops=pops, relations={"E": dict(workloads.line_edges(n))})
 
 
 # ---------------------------------------------------------------------------
-# Compiled == interpreted on the paper's workloads.
+# Default engine == interpreted on the paper's workloads.
 # ---------------------------------------------------------------------------
 
 
@@ -55,45 +59,51 @@ class TestCompiledDifferentials:
     @pytest.mark.parametrize("schedule", ["monolithic", "scc", "parallel"])
     def test_sssp_line(self, method, schedule):
         db = _line_db(12)
-        compiled = solve(
-            programs.sssp(0), db, method=method, schedule=schedule,
-            engine="compiled",
+        default = solve(
+            programs.sssp(0), db, method=method, schedule=schedule
         )
         interpreted = solve(
             programs.sssp(0), db, method=method, schedule=schedule,
             engine="interpreted",
         )
-        assert compiled.instance.equals(interpreted.instance)
+        assert default.instance.equals(interpreted.instance)
 
     @pytest.mark.parametrize("method", ["naive", "seminaive"])
     def test_layered_sssp(self, method):
         db = _line_db(10)
         prog = programs.layered_sssp(0)
-        compiled = solve(prog, db, method=method, engine="compiled")
+        default = solve(prog, db, method=method)
         interpreted = solve(prog, db, method=method, engine="interpreted")
-        assert compiled.instance.equals(interpreted.instance)
+        assert default.instance.equals(interpreted.instance)
 
     def test_quadratic_tc_nonlinear_variants(self):
         # Two IDB occurrences per body: exercises every delta-variant
-        # store assignment (new / delta / old) in the compiled path.
+        # store assignment (new / delta / old) in the batched path.
         dag = workloads.random_dag(10, 0.25, seed=8)
         db = Database(pops=BOOL, relations={"E": {e: True for e in dag}})
         prog = programs.quadratic_transitive_closure()
-        compiled = solve(prog, db, method="seminaive", engine="compiled")
+        default = solve(prog, db, method="seminaive")
         interpreted = solve(prog, db, method="seminaive", engine="interpreted")
-        assert compiled.instance.equals(interpreted.instance)
+        assert default.instance.equals(interpreted.instance)
 
     def test_grounded_engine_knob(self):
         db = _line_db(6)
-        compiled = ground_program(programs.sssp(0), db, engine="compiled")
+        default = ground_program(programs.sssp(0), db)
         interpreted = ground_program(
             programs.sssp(0), db, engine="interpreted"
         )
-        a = compiled.kleene().value
+        a = default.kleene().value
         b = interpreted.kleene().value
         assert set(a) == set(b)
         for key in a:
             assert TROP.eq(a[key], b[key])
+        # method="linear" grounds through the same engine knob.
+        linear = solve(programs.sssp(0), db, method="linear", stability_p=0)
+        oracle = solve(
+            programs.sssp(0), db, method="linear", stability_p=0,
+            engine="interpreted",
+        )
+        assert linear.instance.equals(oracle.instance)
 
     def test_hybrid_engine_knob(self):
         # Example 4.3-style: a threshold IDB feeding back into the
@@ -132,7 +142,7 @@ class TestCompiledDifferentials:
             result = hybrid.run()
             return result.instance, hybrid.bool_facts("Big")
 
-        inst_c, facts_c = build("compiled")
+        inst_c, facts_c = build("auto")
         inst_i, facts_i = build("interpreted")
         assert inst_c.equals(inst_i)
         assert facts_c == facts_i
@@ -142,7 +152,7 @@ class TestCompiledDifferentials:
         with pytest.raises(ValueError):
             solve(programs.sssp(0), db, engine="mystery")
         with pytest.raises(ValueError):
-            solve(programs.sssp(0), db, plan="naive", engine="compiled")
+            solve(programs.sssp(0), db, plan="naive", engine="batched")
         # plan="naive" + engine="auto" falls back to interpreted.
         result = solve(programs.sssp(0), db, plan="naive")
         assert result.stats["kernel_cache_hits"] == 0
@@ -225,18 +235,17 @@ class TestKernelCounters:
                 "E2": dict(workloads.line_edges(10)),  # long chain for Q
             },
         )
-        compiled = solve(
-            prog, db, method="seminaive", schedule="monolithic",
-            engine="compiled",
+        default = solve(
+            prog, db, method="seminaive", schedule="monolithic"
         )
         interpreted = solve(
             prog, db, method="seminaive", schedule="monolithic",
             engine="interpreted",
         )
-        assert compiled.instance.equals(interpreted.instance)
-        assert compiled.stats["rules_skipped"] > 0
+        assert default.instance.equals(interpreted.instance)
+        assert default.stats["rules_skipped"] > 0
         assert (
-            compiled.stats["rule_applications"]
+            default.stats["rule_applications"]
             < interpreted.stats["rule_applications"]
         )
 
@@ -271,16 +280,16 @@ class TestKernelCounters:
             },
             bool_relations={"Ok": {(i,) for i in range(9)}},
         )
-        compiled = solve(prog, db, schedule="monolithic", engine="compiled")
+        default = solve(prog, db, schedule="monolithic")
         interpreted = solve(
             prog, db, schedule="monolithic", engine="interpreted"
         )
-        assert compiled.instance.equals(interpreted.instance)
-        assert compiled.stats["rebuild_skips"] > 0
+        assert default.instance.equals(interpreted.instance)
+        assert default.stats["rebuild_skips"] > 0
 
     def test_hybrid_threshold_guard_reuse(self):
         # The hybrid evaluator's threshold bodies previously rebuilt
-        # ephemeral indexes every iteration; the compiled path caches
+        # ephemeral indexes every iteration; the batched path caches
         # guards and refreshes through the base's change counters.
         def run(engine):
             prog = Program(
@@ -323,7 +332,7 @@ class TestKernelCounters:
             result = hybrid.run()
             return result.instance, hybrid.bool_facts("Big")
 
-        inst_c, facts_c = run("compiled")
+        inst_c, facts_c = run("auto")
         inst_i, facts_i = run("interpreted")
         assert inst_c.equals(inst_i)
         assert facts_c == facts_i
@@ -409,7 +418,7 @@ class TestParallelSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis: compiled == interpreted over random conditional programs.
+# Hypothesis: default engine == interpreted over random conditional programs.
 # ---------------------------------------------------------------------------
 
 _PREDS = ["P0", "P1", "P2", "P3"]
@@ -447,7 +456,7 @@ def _build_program(spec, acyclic: bool) -> Program:
                 )
             elif kind == "cond":
                 # A conditional body: the filter rides the pushdown and
-                # compiled-filter paths.
+                # vectorized-mask paths.
                 sum_products.append(
                     SumProduct(
                         (RelAtom("A", terms(["X"])),),
@@ -502,14 +511,13 @@ class TestCompiledInvariance:
             interpreted = solve(
                 prog, db, engine="interpreted", max_iterations=400
             )
-            compiled = solve(prog, db, engine="compiled", max_iterations=400)
-            assert compiled.instance.equals(interpreted.instance), pops.name
+            default = solve(prog, db, max_iterations=400)
+            assert default.instance.equals(interpreted.instance), pops.name
             if getattr(pops, "supports_minus", False):
                 semi = solve(
                     prog,
                     db,
                     method="seminaive",
-                    engine="compiled",
                     max_iterations=400,
                 )
                 assert semi.instance.equals(interpreted.instance), pops.name
@@ -520,8 +528,8 @@ class TestCompiledInvariance:
         prog = _build_program(spec, acyclic=True)
         db = _database(LIFTED_REAL, [1.0, 2.0, 4.0])
         interpreted = solve(prog, db, engine="interpreted", max_iterations=400)
-        compiled = solve(prog, db, engine="compiled", max_iterations=400)
-        assert compiled.instance.equals(interpreted.instance)
+        default = solve(prog, db, max_iterations=400)
+        assert default.instance.equals(interpreted.instance)
 
     @settings(max_examples=25, deadline=None)
     @given(_program_spec)
@@ -561,7 +569,7 @@ class TestTotalHeadsCompiled:
                 "E": {(0, 1): 1, (1, 2): 1, (2, 3): 0},
             },
         )
-        compiled = NaiveEvaluator(prog, db, engine="compiled").run()
+        default = NaiveEvaluator(prog, db).run()
         interpreted = NaiveEvaluator(prog, db, engine="interpreted").run()
-        assert compiled.instance.equals(interpreted.instance)
-        assert compiled.steps == interpreted.steps
+        assert default.instance.equals(interpreted.instance)
+        assert default.steps == interpreted.steps

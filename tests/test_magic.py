@@ -246,6 +246,8 @@ class TestModernEngineSurface:
         return Database(pops=TROP, relations={"E": dict(edges)})
 
     @pytest.mark.parametrize("schedule", ["scc", "parallel", "monolithic"])
+    # compiled/codegen are deprecated aliases of batched.
+    @pytest.mark.filterwarnings("ignore:engine=:DeprecationWarning")
     @pytest.mark.parametrize(
         "engine", ["interpreted", "compiled", "codegen", "batched"]
     )
@@ -324,6 +326,8 @@ class TestDemandPathSurface:
         )
 
     @pytest.mark.parametrize("schedule", ["scc", "parallel"])
+    # compiled/codegen are deprecated aliases of batched.
+    @pytest.mark.filterwarnings("ignore:engine=:DeprecationWarning")
     @pytest.mark.parametrize(
         "engine", ["interpreted", "compiled", "codegen", "batched"]
     )
